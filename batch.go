@@ -89,11 +89,6 @@ func RunSpecControlled(spec Spec, pool *RunPool, ctl RunControl) (*Result, error
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if ctl.Workers == 0 {
-		// The spec's Workers knob reaches the engine through RunControl;
-		// an explicit ctl.Workers wins over the spec's.
-		ctl.Workers = spec.Workers
-	}
 	if spec.Adaptive {
 		return runAdaptive(spec, pool, ctl)
 	}
@@ -114,9 +109,7 @@ var ErrAdaptiveProfiled = errors.New("spasm: adaptive spec cannot be live-profil
 // profiler attached — the worker path behind spasmd's live run
 // streaming: pc.OnEpoch fires for each profile epoch as it closes
 // during the run.  Profiling inherits RunSpec's determinism and does
-// not perturb the simulated execution, but it does hook the engine
-// clock, which forces the sequential kernel even when ctl.Workers > 1.
-// Adaptive specs are rejected with ErrAdaptiveProfiled.
+// not perturb the simulated execution.  Adaptive specs are rejected with ErrAdaptiveProfiled.
 func RunSpecProfiledControlled(spec Spec, pool *RunPool, ctl RunControl, pc ProfileConfig) (*Result, *Profile, error) {
 	spec = spec.Canonical()
 	if err := spec.Validate(); err != nil {
@@ -124,9 +117,6 @@ func RunSpecProfiledControlled(spec Spec, pool *RunPool, ctl RunControl, pc Prof
 	}
 	if spec.Adaptive {
 		return nil, nil, ErrAdaptiveProfiled
-	}
-	if ctl.Workers == 0 {
-		ctl.Workers = spec.Workers
 	}
 	prog, err := newProgram(spec)
 	if err != nil {

@@ -88,30 +88,6 @@ func BenchmarkSimulationCost(b *testing.B) {
 			b.ReportMetric(float64(events), "sim_events")
 		})
 	}
-	// The same suite on the LogP machine through the conservative
-	// parallel kernel (workers = GOMAXPROCS).  Compare against /logp:
-	// on a single core the delta is pure gate overhead; on real cores the
-	// window releases overlap span bodies and ns/op drops.  Results are
-	// bit-identical either way (TestParallelRunsBitIdentical).
-	b.Run("parallel", func(b *testing.B) {
-		workers := runtime.GOMAXPROCS(0)
-		if workers < 2 {
-			workers = 2
-		}
-		var events uint64
-		for i := 0; i < b.N; i++ {
-			events = 0
-			for _, name := range Apps() {
-				res, err := RunSpec(Spec{App: name, Scale: Tiny, Machine: LogP,
-					Topology: "full", P: 8, Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += res.Stats.SimEvents
-			}
-		}
-		b.ReportMetric(float64(events), "sim_events")
-	})
 }
 
 // BenchmarkFidelitySweep runs the fidelity-comparison study — the full
@@ -216,20 +192,6 @@ func BenchmarkSweepThroughput(b *testing.B) {
 	b.Run("pooled", func(b *testing.B) {
 		measure(b, func() error {
 			_, err := RunMany(Options{Scale: Tiny, Parallel: runtime.GOMAXPROCS(0)}, points)
-			return err
-		})
-	})
-	// Intra-run parallelism instead of inter-run: one simulation at a
-	// time, each on the conservative parallel kernel.  The coherent
-	// machines in the point list fall back to the sequential kernel, so
-	// this measures the mixed-fleet shape a real sweep has.
-	b.Run("parallel", func(b *testing.B) {
-		workers := runtime.GOMAXPROCS(0)
-		if workers < 2 {
-			workers = 2
-		}
-		measure(b, func() error {
-			_, err := RunMany(Options{Scale: Tiny, Parallel: 1, RunWorkers: workers}, points)
 			return err
 		})
 	})

@@ -48,7 +48,6 @@ func main() {
 		gtable   = flag.Bool("gtable", false, "print the g-parameter table (S3)")
 		onlyText = flag.Bool("no-figures", false, "skip the numbered figures")
 		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "concurrent simulations (results are identical regardless of job count)")
-		workers  = flag.Int("workers", 0, "parallel host execution within each simulation (bit-identical; 0 or 1 = sequential)")
 		accuracy = flag.Bool("accuracy", false, "print the abstraction-accuracy dashboard")
 		adHocApp = flag.String("app", "", "ad-hoc figure: application (with -topo and -metric)")
 		adHocTop = flag.String("topo", "mesh", "ad-hoc figure: topology")
@@ -70,7 +69,7 @@ func main() {
 		formats[strings.TrimSpace(f)] = true
 	}
 
-	s := spasm.NewSession(spasm.Options{Scale: sc, Procs: procs, Seed: *seed, Parallel: *jobs, RunWorkers: *workers})
+	s := spasm.NewSession(spasm.Options{Scale: sc, Procs: procs, Seed: *seed, Parallel: *jobs})
 
 	if *adHocApp != "" {
 		if *profiled {

@@ -37,7 +37,6 @@ func main() {
 		phases  = flag.Bool("phases", false, "per-phase overhead breakdown")
 		asJSON  = flag.Bool("json", false, "machine-readable output")
 		profile = flag.String("profile", "", "time-resolved profile: '-' prints a per-epoch table, anything else is a CSV output path")
-		workers = flag.Int("workers", 0, "parallel host execution: run the simulation on up to this many OS threads (bit-identical results; 0 or 1 = sequential)")
 	)
 	flag.Parse()
 
@@ -59,20 +58,14 @@ func main() {
 	if *adapt {
 		spec := spasm.Spec{App: *appName, Scale: sc, Seed: *seed, Machine: spasm.Flow,
 			Topology: *topo, P: *p, PortMode: cfg.PortMode,
-			Adaptive: true, EscalatePct: *escPct, Workers: *workers}
+			Adaptive: true, EscalatePct: *escPct}
 		if *profile != "" {
 			res, prof, err = spasm.RunSpecProfiled(spec)
 		} else {
 			res, err = spasm.RunSpec(spec)
 		}
 	} else if *profile != "" {
-		// Profiling attaches an engine tick hook, which the parallel mode
-		// declines (recorded as a "tick-hook" fallback); no point asking.
 		res, prof, err = spasm.RunProfiled(*appName, sc, *seed, cfg)
-	} else if *workers > 1 {
-		spec := spasm.Spec{App: *appName, Scale: sc, Seed: *seed, Machine: kind,
-			Topology: *topo, P: *p, PortMode: cfg.PortMode, Workers: *workers}
-		res, err = spasm.RunSpec(spec)
 	} else {
 		res, err = spasm.Run(*appName, sc, *seed, cfg)
 		if err != nil {
@@ -144,11 +137,6 @@ type jsonRun struct {
 	WallMillis float64            `json:"wall_ms"`
 	EventsSec  float64            `json:"events_per_sec"`
 
-	// Parallel-execution outcome, present when -workers requested one.
-	Workers     int    `json:"workers,omitempty"`
-	Parallel    bool   `json:"parallel,omitempty"`
-	ParFallback string `json:"par_fallback,omitempty"`
-
 	Escalation *report.EscalationDoc `json:"escalation,omitempty"`
 }
 
@@ -178,11 +166,6 @@ func printJSON(res *spasm.Result) {
 		WallMillis: float64(r.Wall.Microseconds()) / 1000,
 		EventsSec:  r.EventsPerSec(),
 	}
-	if par := res.Par; par != nil {
-		out.Workers = par.Requested
-		out.Parallel = par.Parallel
-		out.ParFallback = par.Fallback
-	}
 	out.Escalation = report.RunJSON(res).Escalation
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
@@ -211,15 +194,6 @@ func printRun(res *spasm.Result, verbose bool) {
 		r.NetAccesses())
 	fmt.Printf("  simulation     : %d events in %v (%.0f events/s)\n",
 		r.SimEvents, r.Wall, r.EventsPerSec())
-	if par := res.Par; par != nil {
-		if par.Parallel {
-			fmt.Printf("  parallel       : %d workers, %d domains, %d windows, %d releases (peak %d in flight)\n",
-				par.Requested, par.Domains, par.Windows, par.Releases, par.Peak)
-		} else {
-			fmt.Printf("  parallel       : requested %d workers, fell back to sequential (%s)\n",
-				par.Requested, par.Fallback)
-		}
-	}
 	if esc := res.Escalation; esc != nil {
 		if esc.Tripped {
 			fmt.Printf("  fidelity       : escalated %v -> %v at t=%.1f us (share %d, threshold %d%%)\n",

@@ -64,7 +64,7 @@ func parseWeights(s string) (map[string]int, error) {
 func main() {
 	var (
 		addr        = flag.String("addr", ":8347", "listen address")
-		workers     = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "worker pool size: simulations run at once (0 = GOMAXPROCS); the per-run \"workers\" request field is accepted and ignored")
 		cacheSize   = flag.Int("cache", 512, "result-cache capacity, in runs")
 		queue       = flag.Int("queue", 1024, "pending-job queue depth")
 		drain       = flag.Duration("drain", 10*time.Minute, "graceful-shutdown drain timeout")

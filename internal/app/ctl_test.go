@@ -8,6 +8,7 @@ import (
 
 	"spasm/internal/machine"
 	"spasm/internal/runpool"
+	"spasm/internal/sim"
 )
 
 // spinnerProg runs forever, scheduling a real engine event per
@@ -26,26 +27,31 @@ func spinnerProg() Program {
 	}
 }
 
-// settleGoroutines waits for the goroutine count to come back to (near)
-// base — aborted process goroutines unwind asynchronously after the run
-// returns.
+// liveGoroutines counts goroutines that are not idle simulation carriers
+// parked in the sim freelist: every goroutine a run starts must either
+// exit or end up there.
+func liveGoroutines() int { return runtime.NumGoroutine() - sim.IdleCarriers() }
+
+// settleGoroutines waits for the live goroutine count to come back to
+// (near) base — watchdog and canceler goroutines exit asynchronously
+// after the run returns.
 func settleGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		runtime.GC()
-		if runtime.NumGoroutine() <= base {
+		if liveGoroutines() <= base {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
-	t.Fatalf("goroutine leak: %d live, want <= %d\n%s", runtime.NumGoroutine(), base, buf[:n])
+	t.Fatalf("goroutine leak: %d live, want <= %d\n%s", liveGoroutines(), base, buf[:n])
 }
 
 func TestRunControlledTimeout(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := liveGoroutines()
 	cfg := machine.Config{Kind: machine.Ideal, P: 4}
 	_, err := RunControlled(spinnerProg(), cfg, RunControl{Timeout: 2 * time.Millisecond})
 	if !errors.Is(err, ErrRunTimeout) {
@@ -55,7 +61,7 @@ func TestRunControlledTimeout(t *testing.T) {
 }
 
 func TestRunControlledCancel(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := liveGoroutines()
 	cancel := make(chan struct{})
 	go func() {
 		time.Sleep(time.Millisecond)

@@ -100,11 +100,7 @@ func (p *Proc) closePhase() {
 	for b := range dt {
 		dt[b] = p.St.Time[b] - p.phaseSnap[b]
 	}
-	// The profile map is shared across processors: commit through the
-	// ordered gate so parallel runs accumulate it in dispatch order.
-	p.S.Ordered(func() {
-		p.Ctx.Phases.add(p.phase, dt, p.Now()-p.phaseT0)
-	})
+	p.Ctx.Phases.add(p.phase, dt, p.Now()-p.phaseT0)
 	p.phase = ""
 }
 

@@ -3,6 +3,8 @@ package app
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -15,8 +17,8 @@ import (
 
 // Failure-containment sentinels: how a controlled run reports that it
 // was stopped rather than finished.  Both wrap the engine's cooperative
-// abort, so by the time either is returned every simulated-process
-// goroutine has unwound — a stopped run leaks nothing.
+// abort, so by the time either is returned every simulated process has
+// unwound — a stopped run leaks nothing.
 var (
 	// ErrRunTimeout marks a run aborted by RunControl.Timeout.
 	ErrRunTimeout = errors.New("run exceeded its wall-clock timeout")
@@ -34,13 +36,6 @@ type RunControl struct {
 	// Cancel, when non-nil, aborts the run with ErrRunCanceled once the
 	// channel is closed.
 	Cancel <-chan struct{}
-	// Workers > 1 requests the conservative parallel execution mode:
-	// span bodies overlap on up to Workers goroutines while all shared
-	// state commits in sequential dispatch order, so results are
-	// bit-identical to a sequential run.  The engine falls back to the
-	// sequential kernel when the machine or instrumentation is
-	// incompatible (see Result.Par).  0 or 1 means sequential.
-	Workers int
 }
 
 func (c RunControl) enabled() bool { return c.Timeout > 0 || c.Cancel != nil }
@@ -95,11 +90,6 @@ type Result struct {
 	// the run started on, whether the contention threshold tripped, and
 	// which tier produced the statistics this Result carries.
 	Escalation *Escalation
-	// Par reports the parallel-execution outcome when RunControl.Workers
-	// requested it (nil otherwise): whether the run actually executed in
-	// windowed parallel mode, or why it fell back to the sequential
-	// kernel.  Either way the statistics are identical.
-	Par *sim.ParReport
 }
 
 // Escalation is the record of one adaptive-fidelity decision.  A run
@@ -248,10 +238,9 @@ func RunPooledInstrumented(prog Program, cfg machine.Config, pool *runpool.Pool,
 //
 // When ctl is enabled, a watchdog goroutine interrupts the engine on
 // timeout or cancellation; the resulting cooperative abort unwinds every
-// process goroutine and the run fails with ErrRunTimeout or
-// ErrRunCanceled.  The watchdog is joined before runOn returns, so a
-// late Interrupt can never poison a subsequent run on the same (pooled)
-// engine.
+// process and the run fails with ErrRunTimeout or ErrRunCanceled.  The
+// watchdog is joined before runOn returns, so a late Interrupt can never
+// poison a subsequent run on the same (pooled) engine.
 func runOn(prog Program, cfg machine.Config, space *mem.Space, eng *sim.Engine,
 	bind func() (machine.Machine, error),
 	wrap func(machine.Machine) machine.Machine, inst Instrument, ctl RunControl) (*Result, error) {
@@ -276,36 +265,22 @@ func runOn(prog Program, cfg machine.Config, space *mem.Space, eng *sim.Engine,
 	}
 	ctx.M = m
 
-	for i := 0; i < cfg.P; i++ {
-		i := i
-		eng.Spawn(fmt.Sprintf("%s/p%d", prog.Name(), i), func(sp *sim.Proc) {
-			p := &Proc{ID: i, S: sp, M: m, St: &run.Procs[i], Ctx: ctx}
-			prog.Body(p)
-			p.closePhase()
-			// The run totals are shared: commit them in dispatch order.
-			sp.Ordered(func() { run.Finish(i, sp.Now()) })
-		})
+	// One body closure, one slab of Procs and one string holding every
+	// process name serve all P processes: spawning costs a handful of
+	// allocations per run rather than several per process.  The engine
+	// is fresh or reset, so process IDs are the node numbers 0..P-1.
+	names := procNames(prog.Name(), cfg.P)
+	procs := make([]Proc, cfg.P)
+	body := func(sp *sim.Proc) {
+		i := sp.ID
+		p := &procs[i]
+		*p = Proc{ID: i, S: sp, M: m, St: &run.Procs[i], Ctx: ctx}
+		prog.Body(p)
+		p.closePhase()
+		run.Finish(i, sp.Now())
 	}
-
-	if ctl.Workers > 1 {
-		// Arm the conservative parallel mode.  The engine still decides
-		// at Run time (probes set Tick, watchdogs set MaxTime, small
-		// machines have too few processes); machine decorators observe
-		// call order, which windowed execution does not preserve outside
-		// ordered sections, so they force the sequential kernel.
-		if wrap != nil {
-			eng.ForceSequential("machine-decorator")
-		}
-		plan := machine.ParPlanFor(cfg, ctl.Workers)
-		if plan.Fallback != "" {
-			eng.ForceSequential(plan.Fallback)
-		}
-		eng.SetParallel(ctl.Workers, plan.Lookahead, plan.DomainOf)
-		if eng.WillRunParallel() {
-			// Span bodies resolve homes outside ordered sections; freeze
-			// the memo so those lookups are read-only.
-			space.FreezeHomes()
-		}
+	for _, name := range names {
+		eng.Spawn(name, body)
 	}
 
 	var timedOut, wasCanceled atomic.Bool
@@ -314,7 +289,9 @@ func runOn(prog Program, cfg machine.Config, space *mem.Space, eng *sim.Engine,
 		watchDone := make(chan struct{})
 		var timer <-chan time.Time
 		var stop func() bool
+		var deadline time.Time
 		if ctl.Timeout > 0 {
+			deadline = time.Now().Add(ctl.Timeout)
 			tm := time.NewTimer(ctl.Timeout)
 			timer = tm.C
 			stop = tm.Stop
@@ -338,6 +315,20 @@ func runOn(prog Program, cfg machine.Config, space *mem.Space, eng *sim.Engine,
 				stop()
 			}
 		}()
+		// Process switches are coroutine switches that never pass
+		// through the Go scheduler, so the watchdog may get no turn
+		// before a short run ends.  A cancellation or deadline that has
+		// already happened is therefore applied here, up front.
+		select {
+		case <-ctl.Cancel:
+			wasCanceled.Store(true)
+			eng.Interrupt()
+		default:
+			if ctl.Timeout > 0 && !time.Now().Before(deadline) {
+				timedOut.Store(true)
+				eng.Interrupt()
+			}
+		}
 	}
 
 	t0 := time.Now()
@@ -373,9 +364,6 @@ func runOn(prog Program, cfg machine.Config, space *mem.Space, eng *sim.Engine,
 		Space:   space,
 		Phases:  ctx.Phases,
 	}
-	if rep := eng.ParReport(); rep.Requested > 1 {
-		res.Par = &rep
-	}
 	if inst != nil {
 		inst.Finish(res)
 	}
@@ -393,4 +381,26 @@ func setupSafely(prog Program, ctx *Ctx) (err error) {
 	}()
 	prog.Setup(ctx)
 	return nil
+}
+
+// procNames returns the names "<prog>/p0" … "<prog>/p<n-1>", all sliced
+// out of one backing string.
+func procNames(prog string, n int) []string {
+	prefix := prog + "/p"
+	var b strings.Builder
+	b.Grow(n * (len(prefix) + 5))
+	var num [20]byte
+	for i := 0; i < n; i++ {
+		b.WriteString(prefix)
+		b.Write(strconv.AppendInt(num[:0], int64(i), 10))
+	}
+	all := b.String()
+	names := make([]string, n)
+	pos := 0
+	for i := range names {
+		end := pos + len(prefix) + len(strconv.AppendInt(num[:0], int64(i), 10))
+		names[i] = all[pos:end]
+		pos = end
+	}
+	return names
 }

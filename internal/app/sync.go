@@ -67,17 +67,11 @@ func (l *SpinLock) Lock(p *Proc) {
 	spins := 0
 	for {
 		p.Read(l.addr) // test
-		var won bool
-		p.S.Ordered(func() {
-			if !l.held {
-				// The set half of the test&set: claim the word.
-				l.held = true
-				l.owner = p.ID
-				won = true
-			}
-		})
-		if won {
-			// Pay the write that makes the claim globally visible.
+		if !l.held {
+			// The set half of the test&set: claim, then pay the
+			// write that makes the claim globally visible.
+			l.held = true
+			l.owner = p.ID
 			p.Write(l.addr)
 			p.St.LockOps++
 			return
@@ -89,12 +83,9 @@ func (l *SpinLock) Lock(p *Proc) {
 		}
 		// Park until the holder's release.  Materialize local time
 		// first and re-check: a release during the flush must not be
-		// missed (the re-check and Wait's enqueue are one span, so they
-		// are atomic against the releaser's sections).
+		// missed (park-after-check is atomic with enqueueing).
 		p.S.FlushLag()
-		var held bool
-		p.S.Ordered(func() { held = l.held })
-		if held {
+		if l.held {
 			t0 := p.Now()
 			l.q.Wait(p.S)
 			p.St.Add(stats.Sync, p.Now()-t0)
@@ -107,20 +98,13 @@ func (l *SpinLock) Lock(p *Proc) {
 // and wakes any parked waiters to re-contend.
 func (l *SpinLock) Unlock(p *Proc) {
 	p.S.FlushLag()
-	var bad bool
-	p.S.Ordered(func() {
-		if !l.held || l.owner != p.ID {
-			bad = true
-			return
-		}
-		l.held = false
-		l.owner = -1
-	})
-	if bad {
+	if !l.held || l.owner != p.ID {
 		panic("app: Unlock of lock not held by " + p.S.Name)
 	}
+	l.held = false
+	l.owner = -1
 	p.Write(l.addr)
-	p.S.Ordered(func() { l.q.WakeAll() })
+	l.q.WakeAll()
 }
 
 // Flag is a one-word condition variable: consumers wait for a producer's
@@ -153,9 +137,7 @@ func (f *Flag) Wait(p *Proc) {
 	spins := 0
 	for {
 		p.Read(f.addr)
-		var set bool
-		p.S.Ordered(func() { set = f.set })
-		if set {
+		if f.set {
 			return
 		}
 		if spins < SpinRounds {
@@ -165,8 +147,7 @@ func (f *Flag) Wait(p *Proc) {
 		}
 		// Flush-then-recheck so a Set during the flush is not missed.
 		p.S.FlushLag()
-		p.S.Ordered(func() { set = f.set })
-		if !set {
+		if !f.set {
 			t0 := p.Now()
 			f.q.Wait(p.S)
 			p.St.Add(stats.Sync, p.Now()-t0)
@@ -178,15 +159,15 @@ func (f *Flag) Wait(p *Proc) {
 // Set raises the flag with an invalidating write and wakes waiters.
 func (f *Flag) Set(p *Proc) {
 	p.S.FlushLag()
-	p.S.Ordered(func() { f.set = true })
+	f.set = true
 	p.Write(f.addr)
-	p.S.Ordered(func() { f.q.WakeAll() })
+	f.q.WakeAll()
 }
 
 // Clear lowers the flag (for reuse across phases).
 func (f *Flag) Clear(p *Proc) {
 	p.S.FlushLag()
-	p.S.Ordered(func() { f.set = false })
+	f.set = false
 	p.Write(f.addr)
 }
 
@@ -222,35 +203,27 @@ func (c *Ctx) NewBarrier(name string, n, home int) *Barrier {
 // Arrive synchronizes the calling processor with the other n-1.
 func (b *Barrier) Arrive(p *Proc) {
 	p.S.FlushLag() // arrival order is defined by materialized local time
-	var my bool
-	p.S.Ordered(func() { my = !b.sense })
+	my := !b.sense
 
 	b.lock.Lock(p)
 	p.Read(b.countAddr)
-	var last bool
-	p.S.Ordered(func() {
-		b.count++
-		last = b.count == b.n
-	})
+	b.count++
+	last := b.count == b.n
 	p.Write(b.countAddr)
 	b.lock.Unlock(p)
 
 	if last {
-		p.S.Ordered(func() {
-			b.count = 0
-			b.sense = my
-		})
+		b.count = 0
+		b.sense = my
 		p.Write(b.flagAddr) // release write invalidates all spinners
-		p.S.Ordered(func() { b.q.WakeAll() })
+		b.q.WakeAll()
 		p.St.BarrierOps++
 		return
 	}
 	spins := 0
 	for {
 		p.Read(b.flagAddr)
-		var released bool
-		p.S.Ordered(func() { released = b.sense == my })
-		if released {
+		if b.sense == my {
 			break
 		}
 		if spins < SpinRounds {
@@ -261,8 +234,7 @@ func (b *Barrier) Arrive(p *Proc) {
 		// Flush-then-recheck so a release during the flush is not
 		// missed.
 		p.S.FlushLag()
-		p.S.Ordered(func() { released = b.sense == my })
-		if !released {
+		if b.sense != my {
 			t0 := p.Now()
 			b.q.Wait(p.S)
 			p.St.Add(stats.Sync, p.Now()-t0)

@@ -145,7 +145,7 @@ func (s *Session) simulate(appName, topo string, kind machine.Kind, p int, pool 
 		Topology: topo,
 		P:        p,
 		PortMode: s.opt.PortMode,
-	}, pool, app.RunControl{Timeout: s.opt.RunTimeout, Workers: s.opt.RunWorkers})
+	}, pool, app.RunControl{Timeout: s.opt.RunTimeout})
 	if err != nil {
 		return nil, err
 	}

@@ -78,10 +78,10 @@ func (x Xmit) Occupancy() int {
 }
 
 // flowRec is one active flow: its occupancy window and the resources it
-// crosses.  The links slice is owned by the record and recycled.
+// crosses, stored as the range [off, off+n) of the net's link arena.
 type flowRec struct {
 	start, end sim.Time
-	links      []int32
+	off, n     int32
 }
 
 // Net is the flow-abstracted network over a topology.  Create with New;
@@ -107,6 +107,14 @@ type Net struct {
 	minEnd sim.Time  // earliest end among table entries (maxTime when empty)
 	live   int       // table length after the last sweep (amortization base)
 	flows  []flowRec // active-flow table, compact
+
+	// links is the arena holding every table entry's resource list back
+	// to back: an admission appends its route, and prune's compaction
+	// copies the surviving lists into linkSpare and swaps the two, so
+	// the arena stays proportional to the live table and a run makes a
+	// handful of arena allocations instead of one per flow record.
+	links     []int32
+	linkSpare []int32
 
 	// Competitor index: per-resource singly linked lists threaded
 	// through one entry arena.  resHead[id] is the first arena entry for
@@ -208,6 +216,9 @@ type poolEnt struct {
 	next int32
 }
 
+// linksOf returns the resources flow record f crosses.
+func (n *Net) linksOf(f *flowRec) []int32 { return n.links[f.off : f.off+f.n] }
+
 // pushRes threads flow fi onto resource id's competitor list.
 func (n *Net) pushRes(id, fi int32) {
 	if n.resHead[id] < 0 {
@@ -252,17 +263,13 @@ func (n *Net) Settle(upTo sim.Time) {
 }
 
 // Reset returns the net to its post-New state in place: the active-flow
-// table emptied (record slices are kept for reuse), the settle floor
+// table and link arena emptied (backing arrays kept), the settle floor
 // rewound, traffic and recomputation counters zeroed, and no Observer.
 // ByteTime, Startup and MaxFlows are configuration of the pooled
 // context and are left alone.
 func (n *Net) Reset() {
-	for i := range n.flows {
-		n.flows[i].start = 0
-		n.flows[i].end = 0
-		n.flows[i].links = n.flows[i].links[:0]
-	}
 	n.flows = n.flows[:0]
+	n.links = n.links[:0]
 	n.clearRes()
 	n.floor = 0
 	n.minEnd = maxTime
@@ -300,17 +307,7 @@ func (n *Net) prune() {
 		if n.flows[i].end <= n.floor {
 			continue
 		}
-		if len(keep) < len(n.flows) {
-			// Swap records (not copy) so evicted slots keep their link
-			// slices for reuse.
-			j := len(keep)
-			n.flows[i], n.flows[j] = n.flows[j], n.flows[i]
-		}
-		keep = n.flows[:len(keep)+1]
-	}
-	tail := n.flows[len(keep):]
-	for i := range tail {
-		tail[i].links = tail[i].links[:0]
+		keep = append(keep, n.flows[i])
 	}
 	n.flows = keep
 	if len(n.flows) >= n.MaxFlows {
@@ -347,15 +344,7 @@ func (n *Net) prune() {
 				}
 				continue
 			}
-			if len(keep) < len(n.flows) {
-				j := len(keep)
-				n.flows[i], n.flows[j] = n.flows[j], n.flows[i]
-			}
-			keep = n.flows[:len(keep)+1]
-		}
-		tail = n.flows[len(keep):]
-		for i := range tail {
-			tail[i].links = tail[i].links[:0]
+			keep = append(keep, n.flows[i])
 		}
 		n.flows = keep
 	}
@@ -367,13 +356,20 @@ func (n *Net) prune() {
 	}
 	n.live = len(n.flows)
 
-	// Compaction moved records, so rebuild the competitor index.
+	// Compaction moved records, so compact the link arena and rebuild
+	// the competitor index.
 	n.clearRes()
+	spare := n.linkSpare[:0]
 	for j := range n.flows {
-		for _, id := range n.flows[j].links {
+		f := &n.flows[j]
+		links := n.linksOf(f)
+		f.off = int32(len(spare))
+		spare = append(spare, links...)
+		for _, id := range links {
 			n.pushRes(id, int32(j))
 		}
 	}
+	n.links, n.linkSpare = spare, n.links[:0]
 }
 
 // Transfer carries one message of the given size from src to dst,
@@ -463,16 +459,10 @@ func (n *Net) Transfer(now sim.Time, src, dst, bytes int) Xmit {
 		end, share, bottleneck = n.allocate(t0, need)
 	}
 
-	// Commit the new flow, recycling a retired record's slice if one is
-	// available past the live prefix.
-	var rec flowRec
-	if cap(n.flows) > len(n.flows) {
-		rec = n.flows[:len(n.flows)+1][len(n.flows)]
-		rec.links = rec.links[:0]
-	}
-	rec.start, rec.end = now, end
-	rec.links = append(rec.links, n.ids...)
-	n.flows = append(n.flows[:len(n.flows)], rec)
+	// Commit the new flow, its route appended to the link arena.
+	n.flows = append(n.flows, flowRec{start: now, end: end,
+		off: int32(len(n.links)), n: int32(len(n.ids))})
+	n.links = append(n.links, n.ids...)
 	recIdx := int32(len(n.flows) - 1)
 	for _, id := range n.ids {
 		n.pushRes(id, recIdx)
@@ -525,7 +515,7 @@ func (n *Net) allocate(t0, need sim.Time) (end sim.Time, share, bottleneck int) 
 		f := &n.flows[ci]
 		if f.start <= t0 {
 			// Active for the admission segment.
-			for _, id := range f.links {
+			for _, id := range n.linksOf(f) {
 				if n.onRoute[id] {
 					n.cnt[id]++
 				}
@@ -582,13 +572,13 @@ func (n *Net) allocate(t0, need sim.Time) (end sim.Time, share, bottleneck int) 
 		for len(evs) > 0 && evs[0].t == next {
 			f := &n.flows[evs[0].fi]
 			if evs[0].add {
-				for _, id := range f.links {
+				for _, id := range n.linksOf(f) {
 					if n.onRoute[id] {
 						n.cnt[id]++
 					}
 				}
 			} else {
-				for _, id := range f.links {
+				for _, id := range n.linksOf(f) {
 					if n.onRoute[id] {
 						n.cnt[id]--
 					}

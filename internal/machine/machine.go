@@ -258,14 +258,8 @@ func (m *logpMachine) access(p *sim.Proc, st *stats.Proc, node int, addr mem.Add
 		return
 	}
 	now := p.Now()
-	// The abstract network's port calendars are shared state: book the
-	// round trip inside an ordered section so parallel runs issue
-	// messages in exactly the sequential dispatch order.
-	var req, rep logp.Xmit
-	p.Ordered(func() {
-		req = m.net.Message(now, node, home)
-		rep = m.net.Message(req.Deliver+m.costs.Mem, home, node)
-	})
+	req := m.net.Message(now, node, home)
+	rep := m.net.Message(req.Deliver+m.costs.Mem, home, node)
 	st.Messages += 2
 	st.NetBytes += uint64(m.costs.CtrlBytes + m.costs.DataBytes)
 	st.NetAccesses++
@@ -314,18 +308,12 @@ func (m *flowMachine) access(p *sim.Proc, st *stats.Proc, node int, addr mem.Add
 		p.Defer(m.costs.Mem)
 		return
 	}
-	// The flow model is shared state and a pure function of its call
-	// sequence, so the whole settle-and-transfer exchange runs as one
-	// ordered section: parallel runs replay the sequential call order.
+	// The engine clock bounds every processor's local clock from below,
+	// so flows settled before it can never compete again.
+	m.net.Settle(p.Engine().Now())
 	now := p.Now()
-	var req, rep flow.Xmit
-	p.Ordered(func() {
-		// The engine clock bounds every processor's local clock from
-		// below, so flows settled before it can never compete again.
-		m.net.Settle(p.Engine().Now())
-		req = m.net.Transfer(now, node, home, m.costs.CtrlBytes)
-		rep = m.net.Transfer(req.End+m.costs.Mem, home, node, m.costs.DataBytes)
-	})
+	req := m.net.Transfer(now, node, home, m.costs.CtrlBytes)
+	rep := m.net.Transfer(req.End+m.costs.Mem, home, node, m.costs.DataBytes)
 	st.Messages += 2
 	st.NetBytes += uint64(m.costs.CtrlBytes + m.costs.DataBytes)
 	st.NetAccesses++

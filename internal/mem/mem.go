@@ -215,25 +215,6 @@ func (s *Space) Home(a Addr) int {
 	return h
 }
 
-// FreezeHomes precomputes the home of every allocated block, filling the
-// per-block memo table eagerly.  After it returns, Home performs no
-// writes for in-range addresses, making concurrent Home lookups safe —
-// the parallel execution mode calls it once before releasing spans, since
-// address-to-home resolution happens in span bodies outside any ordered
-// section.
-func (s *Space) FreezeHomes() {
-	if s.next == 0 {
-		return
-	}
-	// One probe grows the memo table to cover the whole space.
-	s.Home(s.next - 1)
-	for _, r := range s.regions {
-		for a := r.Base; a < r.Base+r.Bytes; a += Addr(s.blockBytes) {
-			s.Home(a)
-		}
-	}
-}
-
 // Region returns the array containing addr, or nil.
 func (s *Space) Region(a Addr) *Array {
 	i := sort.Search(len(s.regions), func(i int) bool {

@@ -51,34 +51,20 @@ type RunDoc struct {
 }
 
 // HostDoc is the host-side measurement block of a RunDoc: wall-clock
-// cost and simulation rate, plus the parallel-execution outcome when the
-// run requested one.  Everything here varies run to run; it is excluded
-// from cached and golden documents by construction (see RunDoc.Host).
+// cost and simulation rate.  Everything here varies run to run; it is
+// excluded from cached and golden documents by construction (see
+// RunDoc.Host).
 type HostDoc struct {
 	WallMS       float64 `json:"wall_ms"`
 	EventsPerSec float64 `json:"events_per_sec"`
-	// Workers is the requested parallel worker count (0 when the run
-	// never asked for parallel execution).
-	Workers int `json:"workers,omitempty"`
-	// Parallel reports whether the windowed parallel kernel actually ran.
-	Parallel bool `json:"parallel,omitempty"`
-	// Fallback is the reason a requested parallel run used the
-	// sequential kernel instead (empty when Parallel or never requested).
-	Fallback string `json:"fallback,omitempty"`
 }
 
 // AttachHost fills doc.Host from the result's host-side measurements.
 func AttachHost(doc *RunDoc, res *app.Result) {
-	h := &HostDoc{
+	doc.Host = &HostDoc{
 		WallMS:       float64(res.Stats.Wall.Microseconds()) / 1e3,
 		EventsPerSec: res.Stats.EventsPerSec(),
 	}
-	if par := res.Par; par != nil {
-		h.Workers = par.Requested
-		h.Parallel = par.Parallel
-		h.Fallback = par.Fallback
-	}
-	doc.Host = h
 }
 
 // EscalationDoc is the JSON form of one adaptive-fidelity decision.

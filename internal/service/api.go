@@ -30,11 +30,11 @@ type RunRequest struct {
 	Adaptive    bool `json:"adaptive,omitempty"`
 	EscalatePct int  `json:"escalate_pct,omitempty"`
 
-	// Workers requests conservative parallel host execution of the run
-	// (bounded by spasm.MaxWorkers; 0 or 1 means sequential).  Results
-	// are bit-identical either way, so Workers does not change the run's
-	// content address: two requests differing only in workers share one
-	// run ID and one cache entry.
+	// Workers is accepted for compatibility and ignored (it once asked
+	// for a parallel host kernel, since removed).  It is still validated
+	// against spasm.MaxWorkers and does not change the run's content
+	// address: two requests differing only in workers share one run ID
+	// and one cache entry.
 	Workers int `json:"workers,omitempty"`
 }
 

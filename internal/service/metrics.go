@@ -45,8 +45,6 @@ type Metrics struct {
 	failed        uint64
 	canceled      uint64 // jobs dropped before execution (all waiters gone)
 	escalated     uint64 // adaptive runs that tripped onto the detailed tier
-	runsParallel  uint64 // runs executed on the windowed parallel kernel
-	parFallbacks  uint64 // runs that requested parallel but fell back to sequential
 	timeouts      uint64 // failed jobs whose failure was the run deadline
 	rejected      uint64 // submissions bounced with ErrQueueFull
 	profHits      uint64 // profiles served from the memoized encoding
@@ -108,18 +106,6 @@ func (m *Metrics) jobCanceled() {
 func (m *Metrics) runEscalated() {
 	m.mu.Lock()
 	m.escalated++
-	m.mu.Unlock()
-}
-
-// runParallelOutcome records one run that requested parallel execution:
-// either it ran on the windowed kernel or it fell back to sequential.
-func (m *Metrics) runParallelOutcome(parallel bool) {
-	m.mu.Lock()
-	if parallel {
-		m.runsParallel++
-	} else {
-		m.parFallbacks++
-	}
 	m.mu.Unlock()
 }
 
@@ -229,11 +215,6 @@ func (m *Metrics) render(b *strings.Builder, queueDepth int, hits, misses, evict
 	// Adaptive-fidelity runs that tripped their escalation threshold and
 	// were rerun on the detailed tier.
 	fmt.Fprintf(b, "spasmd_runs_escalated_total %d\n", m.escalated)
-	// Parallel-execution outcomes: runs that asked for workers > 1 and ran
-	// on the windowed kernel, vs ones that fell back to the sequential
-	// kernel (no lookahead, probes attached, ...).
-	fmt.Fprintf(b, "spasmd_runs_parallel_total %d\n", m.runsParallel)
-	fmt.Fprintf(b, "spasmd_par_fallbacks_total %d\n", m.parFallbacks)
 	fmt.Fprintf(b, "spasmd_profile_cache_hits_total %d\n", m.profHits)
 	fmt.Fprintf(b, "spasmd_profile_cache_misses_total %d\n", m.profMiss)
 	fmt.Fprintf(b, "spasmd_profiles_coalesced_total %d\n", m.profCoalesced)

@@ -465,12 +465,12 @@ func (s *Server) releaseWaiter(j *Job) {
 	delete(s.active, j.id)
 	hub, e := j.hub, j.entry
 	s.mu.Unlock()
+	s.metrics.jobCanceled() // counted before anyone can see the job end
 	close(j.done)
 	if hub != nil {
 		hub.publish(eventResult, statusFromEntry(e, false))
 		hub.finish()
 	}
-	s.metrics.jobCanceled()
 }
 
 // nextJob blocks until a job is dispatchable or the drained queue shuts
@@ -496,11 +496,14 @@ func (s *Server) nextJob() (*Job, bool) {
 func (s *Server) worker() {
 	defer s.workers.Done()
 	for {
+		// The stall fires before the worker commits to a job, so a job
+		// queued behind a stalled worker is still pending — and still
+		// cancelable.
+		faults.Fire(faults.WorkerStall)
 		job, ok := s.nextJob()
 		if !ok {
 			return
 		}
-		faults.Fire(faults.WorkerStall)
 		s.metrics.workerBusy(1)
 		s.execute(job)
 		s.metrics.workerBusy(-1)
@@ -533,9 +536,6 @@ func (s *Server) execute(job *Job) {
 	}
 	if err == nil && res.Escalation != nil && res.Escalation.Tripped {
 		s.metrics.runEscalated()
-	}
-	if err == nil && res.Par != nil {
-		s.metrics.runParallelOutcome(res.Par.Parallel)
 	}
 	if err == nil {
 		if err = faults.Fire(faults.Marshal); err == nil {
@@ -620,12 +620,14 @@ func (s *Server) finish(job *Job, e *entry, timedOut bool) {
 	s.fq.jobDone(job)
 	delete(s.active, job.id)
 	s.mu.Unlock()
+	// Count the outcome before publishing it, so anyone who has seen the
+	// job finish also sees it in the metrics.
+	s.metrics.jobFinished(e.err == "", timedOut)
 	close(job.done)
 	if job.hub != nil {
 		job.hub.publish(eventResult, statusFromEntry(e, false))
 		job.hub.finish()
 	}
-	s.metrics.jobFinished(e.err == "", timedOut)
 }
 
 // Wait blocks until the job completes or ctx is cancelled, then returns

@@ -17,29 +17,34 @@ func allTerminated(e *Engine) bool {
 	return true
 }
 
-// settleGoroutines waits for the goroutine count to come back to (near)
-// base — process goroutines exit asynchronously after Run returns, so
-// leak checks must allow the scheduler a moment.
+// liveGoroutines counts goroutines that are not idle carriers parked in
+// the freelist: every goroutine a run starts must either exit or end up
+// there.
+func liveGoroutines() int { return runtime.NumGoroutine() - IdleCarriers() }
+
+// settleGoroutines waits for the live goroutine count to come back to
+// (near) base, allowing the scheduler a moment for goroutines that exit
+// asynchronously.
 func settleGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		runtime.GC()
-		if runtime.NumGoroutine() <= base {
+		if liveGoroutines() <= base {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
-	t.Fatalf("goroutine leak: %d live, want <= %d\n%s", runtime.NumGoroutine(), base, buf[:n])
+	t.Fatalf("goroutine leak: %d live, want <= %d\n%s", liveGoroutines(), base, buf[:n])
 }
 
 // TestInterruptAbortsAndUnwinds: an interrupted run returns *AbortError,
 // and every process goroutine — spinners with queued events and parked
 // waiters alike — unwinds and exits.
 func TestInterruptAbortsAndUnwinds(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := liveGoroutines()
 	e := NewEngine()
 	var q Queue
 	for i := 0; i < 4; i++ {
@@ -68,7 +73,7 @@ func TestInterruptAbortsAndUnwinds(t *testing.T) {
 // run is in full flight — the production shape (a watchdog timer firing
 // mid-simulation).
 func TestInterruptConcurrentWithRun(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := liveGoroutines()
 	e := NewEngine()
 	for i := 0; i < 8; i++ {
 		e.Spawn("spinner", func(p *Proc) {
@@ -96,7 +101,7 @@ func TestInterruptConcurrentWithRun(t *testing.T) {
 // *DeadlockError with the blocked-process list captured at detection,
 // but its goroutines no longer stay parked forever.
 func TestDeadlockUnwindsGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := liveGoroutines()
 	e := NewEngine()
 	var q Queue
 	e.Spawn("stuck-a", func(p *Proc) { q.Wait(p) })
@@ -119,7 +124,7 @@ func TestDeadlockUnwindsGoroutines(t *testing.T) {
 // panic error, and the surviving processes (parked and scheduled) are
 // unwound rather than abandoned.
 func TestPanicUnwindsGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := liveGoroutines()
 	e := NewEngine()
 	var q Queue
 	e.Spawn("parked", func(p *Proc) { q.Wait(p) })
@@ -138,7 +143,7 @@ func TestPanicUnwindsGoroutines(t *testing.T) {
 // TestMaxTimeUnwindsGoroutines: the simulated-time watchdog keeps its
 // *TimeLimitError identity and now also unwinds the runaway processes.
 func TestMaxTimeUnwindsGoroutines(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := liveGoroutines()
 	e := NewEngine()
 	e.MaxTime = 1000
 	var q Queue
@@ -165,7 +170,7 @@ func TestMaxTimeUnwindsGoroutines(t *testing.T) {
 // collateral "Wake of non-parked process" panic must neither escape nor
 // replace the abort as the recorded failure.
 func TestAbortSurvivesCleanupWakes(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := liveGoroutines()
 	e := NewEngine()
 	var q Queue
 	procs := make([]*Proc, 0, 4)

@@ -46,8 +46,7 @@ func TestEventDispatchAllocBudget(t *testing.T) {
 // scanRetained reports every backing slot — including slots beyond the
 // live length, up to capacity — of the engine's event structures that
 // still references a *Proc: the heap, the same-timestamp FIFO, the
-// ladder queue (bottom run, rung buckets, top), and the per-domain
-// parallel queues' backing stores.
+// ladder queue (bottom run, rung buckets, top).
 func scanRetained(t *testing.T, e *Engine, when string) {
 	t.Helper()
 	check := func(where string, s []event) {
@@ -73,12 +72,6 @@ func scanRetained(t *testing.T, e *Engine, when string) {
 	check("heap", e.heap.s)
 	check("nowQ", e.nowQ)
 	checkLadder("ladder", &e.lad)
-	for i := range e.pqHeaps {
-		check(fmt.Sprintf("domain heap %d", i), e.pqHeaps[i].s)
-	}
-	for i := range e.pqLads {
-		checkLadder(fmt.Sprintf("domain ladder %d", i), &e.pqLads[i])
-	}
 }
 
 // TestQueueRetainsNoProcsAfterRun guards the memory-pin fix: after Run
@@ -153,5 +146,37 @@ func TestHandoffStress(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+	}
+}
+
+// TestWarmRunCreatesNoCoroutine: once the carrier freelist is warm, a
+// p=64 Spawn+Run on a reset engine starts every process on a reused
+// carrier.  A fresh coroutine costs about a dozen allocations, so the
+// budget — the Proc records plus a little slack — holds only with reuse.
+func TestWarmRunCreatesNoCoroutine(t *testing.T) {
+	const procs = 64
+	e := NewEngine()
+	body := func(p *Proc) {
+		p.Hold(Time(1 + p.ID%4))
+		p.Hold(1)
+	}
+	run := func() {
+		e.Reset()
+		for i := 0; i < procs; i++ {
+			e.Spawn("w", body)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the freelist and the engine's backing arrays
+	idle := IdleCarriers()
+	allocs := testing.AllocsPerRun(10, run)
+	t.Logf("%.1f allocs per %d-process run", allocs, procs)
+	if allocs > procs+8 {
+		t.Errorf("warm %d-process run allocates %.1f objects; budget is %d", procs, allocs, procs+8)
+	}
+	if got := IdleCarriers(); got != idle {
+		t.Errorf("idle carriers %d after warm runs, want %d", got, idle)
 	}
 }

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
-
-	"spasm/internal/par"
 )
 
 // event is a scheduled resumption of a process.
@@ -21,8 +18,7 @@ type event struct {
 // eventHeap is a concrete-typed min-heap of events ordered by (at, seq).
 // Compared with container/heap it avoids the interface{} boxing
 // allocation on every push and pop, and it clears popped slots so a
-// drained queue does not pin *Proc values (and their goroutine stacks)
-// in memory.
+// drained queue does not pin *Proc values in memory.
 type eventHeap struct {
 	s []event
 }
@@ -108,11 +104,18 @@ type Engine struct {
 	nowQ    []event
 	nowHead int
 
-	done    chan error // buffered(1): run result, signalled once
-	nLive   int        // spawned but not yet terminated processes
-	procs   []*Proc
+	nLive int // spawned but not yet terminated processes
+	procs []*Proc
+	slab  []Proc // unused tail of the chunk Spawn carves processes from
+
+	// carSlab is the unused tail of the chunk new carriers are carved
+	// from (see getCarrier); carMade counts the carriers this run made.
+	carSlab []carrier
+	carMade int
+
 	running *Proc
 	failure error // first process panic, converted to a run error
+	result  error // the finished run's outcome, returned by Run
 
 	// stop is the cooperative abort flag, the only engine state that may
 	// be touched from outside the simulation (see Interrupt).  It is
@@ -122,8 +125,9 @@ type Engine struct {
 	// aborting marks the unwind phase: the run's outcome is decided and
 	// every remaining process is being resumed one final time so it can
 	// unwind (panic with abortSignal) and terminate.  Unwinding instead
-	// of abandoning parked goroutines is what makes failed runs — panics,
-	// deadlocks, time limits, aborts — leak no goroutines.
+	// of abandoning parked coroutines is what makes failed runs — panics,
+	// deadlocks, time limits, aborts — leak no goroutines and return
+	// every carrier to the freelist.
 	aborting bool
 	abortErr error // the run result recorded when the unwind began
 
@@ -144,44 +148,11 @@ type Engine struct {
 	// previous clock value — the hook telemetry probes use to close
 	// sampling epochs.  Tick must not call back into the engine.
 	Tick func(now Time)
-
-	// Parallel-mode configuration and per-run outcome (see SetParallel
-	// and parallel.go).  par is non-nil exactly while a parallel Run is
-	// in flight; everything else is per-run configuration or reporting,
-	// cleared by Reset like Tick and MaxTime.
-	pworkers int
-	plook    Time
-	pdomOf   func(procID int) int
-	pforce   string // caller-imposed fallback reason (ForceSequential)
-	par      *parGate
-	// parMu protects all engine state while par != nil (heap, seq, now,
-	// clock vector, per-process release bookkeeping).  Sequential mode
-	// never touches it.
-	parMu   sync.Mutex
-	parRan  bool
-	pfall   string // why a requested parallel run executed sequentially
-	parDoms int
-	parWin  uint64
-	parRel  uint64
-	parSec  uint64
-	parPeak int
-
-	// Per-domain event queues of the parallel mode (see parallel.go):
-	// domain-local scheduling mutates only pq[dom], and window release
-	// scans the parHeads cache — one key per domain — instead of popping
-	// a single shared structure.  pqn counts events across all domain
-	// queues (including stale ones not yet discarded); pqHeaps/pqLads
-	// are the reusable backing stores the pq slots point into.
-	pq       []eventQueue
-	pqn      int
-	parHeads *par.HeadSet
-	pqHeaps  []eventHeap
-	pqLads   []ladderQueue
 }
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	e := &Engine{done: make(chan error, 1)}
+	e := &Engine{}
 	e.q = &e.heap
 	e.lad.topStart = minTime
 	return e
@@ -190,17 +161,16 @@ func NewEngine() *Engine {
 // Reset returns the engine to its post-NewEngine state while keeping the
 // backing arrays of the event heap, the same-timestamp FIFO, and the
 // process table, so a pooled engine re-runs without reallocating them.
-// All retained slots are cleared so no *Proc (and hence no goroutine
-// stack) from the previous run stays reachable.  The per-run hooks
-// (Tick, MaxTime) are cleared too: they are configuration of one run,
-// not of the engine.
+// All retained slots are cleared so no *Proc from the previous run stays
+// reachable.  The per-run hooks (Tick, MaxTime) are cleared too: they
+// are configuration of one run, not of the engine.
 //
 // Reset must not be called while Run is in flight.  A failed run
-// (deadlock, panic, time limit, Interrupt) unwinds every process
-// goroutine before Run returns, so nothing from the old run survives —
-// but its mid-flight machine and address-space state may, which is why
-// pooled contexts whose run did not complete cleanly are discarded
-// rather than reset (see internal/runpool.Pool.Discard).
+// (deadlock, panic, time limit, Interrupt) unwinds every process before
+// Run returns, so nothing from the old run survives — but its mid-flight
+// machine and address-space state may, which is why pooled contexts
+// whose run did not complete cleanly are discarded rather than reset
+// (see internal/runpool.Pool.Discard).
 func (e *Engine) Reset() {
 	e.heap.reset()
 	e.lad.reset()
@@ -214,6 +184,8 @@ func (e *Engine) Reset() {
 		e.procs[i] = nil
 	}
 	e.procs = e.procs[:0]
+	e.slab = nil // the old run's processes may still be referenced
+	e.carMade = 0
 	e.now = 0
 	e.seq = 0
 	e.nLive = 0
@@ -225,46 +197,17 @@ func (e *Engine) Reset() {
 	e.stop.Store(false)
 	e.aborting = false
 	e.abortErr = nil
-	// Parallel-mode configuration and outcome are per-run state.  par is
-	// nil whenever Run is not in flight, but clear it anyway.
-	e.pworkers = 0
-	e.plook = 0
-	e.pdomOf = nil
-	e.pforce = ""
-	e.par = nil
-	e.parRan = false
-	e.pfall = ""
-	e.parDoms = 0
-	e.parWin = 0
-	e.parRel = 0
-	e.parSec = 0
-	e.parPeak = 0
-	// Per-domain queues: the backing stores are cleared directly (the pq
-	// interface slots alias them), so no event — and no *Proc — survives
-	// pooled reuse.
-	for i := range e.pqHeaps {
-		e.pqHeaps[i].reset()
-	}
-	for i := range e.pqLads {
-		e.pqLads[i].reset()
-	}
-	e.pqn = 0
-	if e.parHeads != nil {
-		e.parHeads.Reset()
-	}
-	// The done channel may hold an unread result if the previous run was
-	// abandoned; a fresh channel is cheaper than reasoning about drains.
-	e.done = make(chan error, 1)
+	e.result = nil
 }
 
 // Interrupt requests a cooperative abort of the in-flight Run.  It is
 // the only Engine method safe to call from another goroutine while Run
 // executes: it sets an atomic flag the dispatch loop polls, so the run
 // aborts at the next event.  The engine then wakes every remaining
-// process once so its goroutine can unwind and terminate — an aborted
-// Run returns an *AbortError only after all process goroutines have
-// exited, leaking none.  Interrupting an engine whose Run has already
-// returned is a harmless no-op (Reset clears the flag).
+// process once so it can unwind and terminate — an aborted Run returns
+// an *AbortError only after every process has unwound and handed its
+// carrier back, leaking nothing.  Interrupting an engine whose Run has
+// already returned is a harmless no-op (Reset clears the flag).
 func (e *Engine) Interrupt() { e.stop.Store(true) }
 
 // Interrupted reports whether an abort has been requested.
@@ -279,16 +222,8 @@ func (e *Engine) Procs() []*Proc { return e.procs }
 // schedule enqueues a resumption of p at time at (>= now).  Bumping
 // p.gen invalidates any earlier pending event for p at push time: a
 // stale wakeup is recognized by its generation mismatch when popped, so
-// the queue never needs scanning.  In parallel mode scheduling goes to
-// the per-domain queues instead, under the gate mutex (see
-// parScheduleLocked).
+// the queue never needs scanning.
 func (e *Engine) schedule(at Time, p *Proc) {
-	if e.par != nil {
-		e.parMu.Lock()
-		e.parScheduleLocked(at, p)
-		e.parMu.Unlock()
-		return
-	}
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < now %v", at, e.now))
 	}
@@ -332,14 +267,15 @@ func (e *Engine) next() (event, bool) {
 	return event{}, false
 }
 
-// advance dispatches the next runnable event.  It is called by the
-// goroutine that currently holds the run token — a process that has just
-// scheduled its own resumption, parked, or terminated (or Run itself to
-// prime the first dispatch) — so engine state is only ever touched by
-// one goroutine at a time.  It returns true when the dispatched event
-// belongs to cur, in which case control simply stays on the calling
-// goroutine with no channel handoff at all; otherwise it either resumes
-// the target process (one channel send) or ends the run.
+// advance picks the next runnable event and makes its process the
+// running one.  It is called by the process that currently runs — one
+// that has just scheduled its own resumption, parked, or terminated (or
+// by Run itself to prime the first dispatch) — so engine state is only
+// ever touched by one coroutine at a time.  It returns true when the
+// dispatched event belongs to cur, in which case control simply stays
+// with cur with no coroutine switch at all; otherwise cur yields and the
+// dispatch loop resumes e.running, or — once e.running is nil — the run
+// is over.
 func (e *Engine) advance(cur *Proc) bool {
 	if !e.aborting && e.stop.Load() {
 		e.beginAbort(&AbortError{At: e.now})
@@ -349,7 +285,7 @@ func (e *Engine) advance(cur *Proc) bool {
 		if !ok {
 			if !e.aborting && e.nLive > 0 {
 				// Deadlock: record it, then unwind the blocked processes
-				// instead of abandoning their goroutines.
+				// instead of abandoning their coroutines.
 				e.beginAbort(e.deadlock())
 				continue
 			}
@@ -372,17 +308,13 @@ func (e *Engine) advance(cur *Proc) bool {
 		p := ev.p
 		p.parked = false
 		e.running = p
-		if p == cur {
-			return true // same-process dispatch: no handoff
-		}
-		p.resume <- struct{}{}
-		return false
+		return p == cur // same-process dispatch: no switch
 	}
 }
 
 // beginAbort starts the unwind phase: the run's outcome (reason, or the
 // first process failure) is fixed, and every parked process is scheduled
-// one last wakeup so its goroutine can unwind.  Processes waiting on
+// one last wakeup so it can unwind.  Processes waiting on
 // their own queued events need no help — dispatch reaches them — and
 // once aborting is set, any resumed process panics with abortSignal
 // inside block() before it can touch application state again.  The run
@@ -399,12 +331,11 @@ func (e *Engine) beginAbort(reason error) {
 	}
 }
 
-// endRun publishes the run result.  The done channel is buffered so the
-// publisher (possibly Run's own goroutine, when no process was ever
-// spawned) never blocks.
+// endRun records the run result; with no running process left, the
+// dispatch loop returns.
 func (e *Engine) endRun(err error) {
 	e.running = nil
-	e.done <- err
+	e.result = err
 }
 
 // runResult classifies a finished run: the first process failure wins,
@@ -426,98 +357,74 @@ func (e *Engine) runResult() error {
 // Spawn creates a simulated process executing fn and schedules it to start
 // at the current simulation time.  It may be called before Run or from
 // inside a running process.  The returned Proc is also passed to fn.
+// The process takes a carrier (a pooled coroutine) only when its start
+// event is dispatched.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{
-		Name: name,
-		eng:  e,
-		// resume is buffered: in parallel mode a retiring span can
-		// release its own next event (or a peer's) before the owning
-		// goroutine reaches its receive, and the sender must not block
-		// under the gate mutex.  The generation discipline guarantees at
-		// most one live token per process in either mode.
-		resume: make(chan struct{}, 1),
-		gate:   make(chan struct{}, 1),
+	if len(e.slab) == 0 {
+		// Carve processes from chunks that double with the run's
+		// width: a P-process run makes O(log P) allocations for them.
+		e.slab = make([]Proc, max(16, len(e.procs)))
 	}
-	if e.par != nil {
-		// Mid-run spawn from a granted section: serialize the table
-		// bookkeeping with the gate (parSignalLocked indexes e.procs).
-		e.parMu.Lock()
-		p.ID = len(e.procs)
-		if p.dom = e.pdomOf(p.ID); p.dom < 0 || p.dom >= e.parDoms {
-			p.dom = 0
-		}
-		e.procs = append(e.procs, p)
-		e.nLive++
-		e.parMu.Unlock()
-	} else {
-		p.ID = len(e.procs)
-		e.procs = append(e.procs, p)
-		e.nLive++
-	}
-	go func() {
-		<-p.resume // wait for the engine to dispatch our start event
-		defer func() {
-			r := recover()
-			// e.par is stable here: it can only transition to nil while
-			// no span is incomplete, and this process's current span is.
-			// (On the abortSignal unwind path e.par is already nil, with
-			// the transition ordered before our final resumption.)
-			if e.par != nil {
-				e.parTerminate(p, r)
-				return
-			}
-			if r != nil {
-				// Panics raised after the abort began are collateral of
-				// the unwind (cleanup defers running against torn-down
-				// state), not independent failures: recording them would
-				// mask the abort's own error.
-				if _, unwind := r.(abortSignal); !unwind && !e.aborting && e.failure == nil {
-					e.failure = fmt.Errorf("sim: process %q panicked at %v: %v", p.Name, e.now, r)
-				}
-			}
-			p.terminated = true
-			p.gen++ // any still-queued wakeup for p is now stale
-			e.nLive--
-			if e.failure != nil && !e.aborting {
-				// A panic fails the run, but the remaining processes are
-				// unwound — not abandoned — before Run reports it.
-				e.beginAbort(nil)
-			}
-			e.advance(p) // pass the run token on; goroutine exits
-		}()
-		if !e.aborting {
-			fn(p)
-		}
-	}()
-	// In parallel mode the caller is a granted section, so e.now is
-	// stable and schedule serializes the heap push through the gate.
+	p := &e.slab[0]
+	e.slab = e.slab[1:]
+	*p = Proc{Name: name, eng: e, fn: fn, ID: len(e.procs)}
+	e.procs = append(e.procs, p)
+	e.nLive++
 	e.schedule(e.now, p)
 	return p
+}
+
+// run executes the process body on its carrier and then does the
+// termination bookkeeping: record a panic as the run's failure, retire
+// the process, and pick the next event.  A process dispatched after the
+// run began aborting terminates without running its body.
+func (p *Proc) run() {
+	e := p.eng
+	defer func() {
+		r := recover()
+		if r != nil {
+			// Panics raised after the abort began are collateral of
+			// the unwind (cleanup defers running against torn-down
+			// state), not independent failures: recording them would
+			// mask the abort's own error.
+			if _, unwind := r.(abortSignal); !unwind && !e.aborting && e.failure == nil {
+				e.failure = fmt.Errorf("sim: process %q panicked at %v: %v", p.Name, e.now, r)
+			}
+		}
+		p.fn = nil
+		p.terminated = true
+		p.gen++ // any still-queued wakeup for p is now stale
+		e.nLive--
+		if e.failure != nil && !e.aborting {
+			// A panic fails the run, but the remaining processes are
+			// unwound — not abandoned — before Run reports it.
+			e.beginAbort(nil)
+		}
+		e.advance(p) // pick the next event; the carrier then yields
+	}()
+	if !e.aborting {
+		p.fn(p)
+	}
 }
 
 // Run dispatches events until none remain.  It returns a *DeadlockError
 // if processes are still alive (parked forever) when the event queue
 // drains, and nil when every process has terminated.
 //
-// Run itself only primes the first dispatch and waits for the result:
-// after the first handoff, dispatching happens on the process goroutines
-// themselves — the goroutine that blocks or terminates picks the next
-// event and resumes its owner directly, so each engine event costs at
-// most one channel handoff (zero when a process's next event is its
-// own).
+// Run primes the first dispatch and then loops, resuming the carrier of
+// the running process.  A process that blocks picks the next event
+// itself: when the event is its own it carries on with no switch at all,
+// otherwise it yields to the loop, which resumes the event's process —
+// one coroutine switch each way, never a trip through the Go scheduler.
+// Run must not be called from a goroutine locked to its OS thread (see
+// carrier).
 func (e *Engine) Run() error {
-	if e.pworkers > 1 {
-		if why := e.parFallback(); why != "" {
-			e.pfall = why // requested but incompatible: run sequentially
-		} else {
-			return e.runParallel()
-		}
-	}
 	if e.q == &e.heap && len(e.procs) >= ladderProcs {
 		e.escalate() // large-P run: start on the ladder queue
 	}
 	e.advance(nil)
-	return <-e.done
+	e.dispatch()
+	return e.result
 }
 
 func (e *Engine) deadlock() *DeadlockError {
@@ -555,8 +462,8 @@ func (t *TimeLimitError) Error() string {
 
 // AbortError reports that the run was aborted by Interrupt — the
 // cooperative cancellation path used for wall-clock run timeouts and
-// abandoned jobs.  By the time Run returns it, every process goroutine
-// has unwound and exited.
+// abandoned jobs.  By the time Run returns it, every process has unwound
+// and returned its carrier.
 type AbortError struct {
 	// At is the simulated time at which the abort was observed.
 	At Time
@@ -566,7 +473,7 @@ func (a *AbortError) Error() string {
 	return fmt.Sprintf("sim: run aborted at %v", a.At)
 }
 
-// abortSignal is the panic value used to unwind process goroutines once
-// a run is aborting.  It is recovered (and recognized) by Spawn's
-// termination handler and never escapes the engine.
+// abortSignal is the panic value used to unwind processes once a run is
+// aborting.  It is recovered (and recognized) by the termination handler
+// in Proc.run and never escapes the engine.
 type abortSignal struct{}

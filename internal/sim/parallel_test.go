@@ -5,69 +5,89 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// trace is a deterministic execution log: every append happens inside an
-// Ordered section, so in a correct parallel run the entries land in
-// exactly the sequential dispatch order.
+// Engines running in parallel on host goroutines share one carrier
+// freelist: a carrier one engine returns may be resumed by another at
+// once.  These tests run the same program on several engines at the same
+// time and require each run to match a run made alone — same error, same
+// event count, same final clock, same trace — and every carrier to come
+// back.  Under -race they check the freelist's hand-over edges.
+
+// trace is a deterministic execution log of one run.
 type trace struct {
 	log []string
 }
 
 func (t *trace) add(p *Proc, format string, args ...any) {
-	p.Ordered(func() {
-		t.log = append(t.log, fmt.Sprintf("%s@%v: %s", p.Name, p.Now(), fmt.Sprintf(format, args...)))
-	})
+	t.log = append(t.log, fmt.Sprintf("%s@%v: %s", p.Name, p.Now(), fmt.Sprintf(format, args...)))
 }
 
-// runBoth executes the same program sequentially and in parallel mode and
-// requires identical results: same error, same event count, same final
-// clock, same trace.
-func runBoth(t *testing.T, workers int, lookahead Time, build func(e *Engine, tr *trace)) (*Engine, *trace) {
+// runConcurrent runs build's program once alone as the reference, then on
+// engines engines at once, one goroutine each, and requires every
+// concurrent run to reproduce the reference.  It returns the reference
+// run's error.
+func runConcurrent(t *testing.T, engines int, build func(e *Engine, tr *trace)) error {
 	t.Helper()
+	base := liveGoroutines()
 
-	seqEng, seqTr := NewEngine(), &trace{}
-	build(seqEng, seqTr)
-	seqErr := seqEng.Run()
+	ref, refTr := NewEngine(), &trace{}
+	build(ref, refTr)
+	refErr := ref.Run()
 
-	parEng, parTr := NewEngine(), &trace{}
-	build(parEng, parTr)
-	parEng.SetParallel(workers, lookahead, func(id int) int { return id % 2 })
-	if !parEng.WillRunParallel() {
-		t.Fatalf("parallel mode unexpectedly unavailable: %q", parEng.parFallback())
+	type outcome struct {
+		eng *Engine
+		tr  *trace
+		err error
 	}
-	parErr := parEng.Run()
+	outs := make([]outcome, engines)
+	var wg sync.WaitGroup
+	for k := range outs {
+		e, tr := NewEngine(), &trace{}
+		build(e, tr)
+		outs[k] = outcome{eng: e, tr: tr}
+		wg.Add(1)
+		go func(o *outcome) {
+			defer wg.Done()
+			o.err = o.eng.Run()
+		}(&outs[k])
+	}
+	wg.Wait()
 
-	if (seqErr == nil) != (parErr == nil) || (seqErr != nil && seqErr.Error() != parErr.Error()) {
-		t.Fatalf("result mismatch: sequential %v, parallel %v", seqErr, parErr)
-	}
-	if !parEng.ParReport().Parallel {
-		t.Fatal("run did not execute in parallel mode")
-	}
-	if seqEng.Events != parEng.Events {
-		t.Fatalf("event count mismatch: sequential %d, parallel %d", seqEng.Events, parEng.Events)
-	}
-	if seqEng.Now() != parEng.Now() {
-		t.Fatalf("final clock mismatch: sequential %v, parallel %v", seqEng.Now(), parEng.Now())
-	}
-	if len(seqTr.log) != len(parTr.log) {
-		t.Fatalf("trace length mismatch: sequential %d, parallel %d", len(seqTr.log), len(parTr.log))
-	}
-	for i := range seqTr.log {
-		if seqTr.log[i] != parTr.log[i] {
-			t.Fatalf("trace diverges at %d:\n  sequential: %s\n  parallel:   %s", i, seqTr.log[i], parTr.log[i])
+	for k, o := range outs {
+		if (refErr == nil) != (o.err == nil) || (refErr != nil && refErr.Error() != o.err.Error()) {
+			t.Fatalf("engine %d: result mismatch: alone %v, concurrent %v", k, refErr, o.err)
+		}
+		if ref.Events != o.eng.Events {
+			t.Fatalf("engine %d: event count mismatch: alone %d, concurrent %d", k, ref.Events, o.eng.Events)
+		}
+		if ref.Now() != o.eng.Now() {
+			t.Fatalf("engine %d: final clock mismatch: alone %v, concurrent %v", k, ref.Now(), o.eng.Now())
+		}
+		if len(refTr.log) != len(o.tr.log) {
+			t.Fatalf("engine %d: trace length mismatch: alone %d, concurrent %d", k, len(refTr.log), len(o.tr.log))
+		}
+		for i := range refTr.log {
+			if refTr.log[i] != o.tr.log[i] {
+				t.Fatalf("engine %d: trace diverges at %d:\n  alone:      %s\n  concurrent: %s", k, i, refTr.log[i], o.tr.log[i])
+			}
+		}
+		if !allTerminated(o.eng) {
+			t.Fatalf("engine %d left live processes", k)
 		}
 	}
-	return parEng, parTr
+	settleGoroutines(t, base)
+	return refErr
 }
 
 // TestParallelPingPong alternates two processes through a lock with
-// asymmetric hold times; the trace interleaving is fully determined.
+// asymmetric hold times, on two engines at once.
 func TestParallelPingPong(t *testing.T) {
-	eng, tr := runBoth(t, 2, 5, func(e *Engine, tr *trace) {
+	err := runConcurrent(t, 2, func(e *Engine, tr *trace) {
 		var l Lock
 		for i := 0; i < 2; i++ {
 			hold := Time(3 + 2*i)
@@ -82,17 +102,14 @@ func TestParallelPingPong(t *testing.T) {
 			})
 		}
 	})
-	if len(tr.log) != 40 {
-		t.Fatalf("trace length %d, want 40", len(tr.log))
-	}
-	if rep := eng.ParReport(); rep.Windows == 0 || rep.Releases == 0 {
-		t.Fatalf("no windows recorded: %+v", rep)
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestParallelRandomized drives a randomized mix of holds, defers,
 // yields, barrier phases, semaphores, and queue waits across several
-// processes and domains.
+// processes, on 2, 4 and 8 engines at once.
 func TestParallelRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		const procs = 8
@@ -102,6 +119,7 @@ func TestParallelRandomized(t *testing.T) {
 			var l Lock
 			var q Queue
 			var pending int
+			var arrived [5]int // per phase: processes at the barrier
 			for i := 0; i < procs; i++ {
 				rng := rand.New(rand.NewSource(seed*1000 + int64(i)))
 				e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
@@ -117,56 +135,52 @@ func TestParallelRandomized(t *testing.T) {
 							case 3:
 								sem.Acquire(p)
 								p.Hold(Time(1 + rng.Intn(5)))
-								p.Ordered(func() { sem.Release() })
+								sem.Release()
 							case 4:
 								l.Acquire(p)
 								tr.add(p, "crit phase %d step %d", phase, step)
 								p.Hold(Time(rng.Intn(4)))
 								l.Release(p)
 							case 5:
-								// Meet in pairs through the bare queue.
-								var wake bool
+								// Meet in pairs through the bare queue, unless
+								// everyone else is already at the barrier.
 								p.FlushLag()
-								p.Ordered(func() {
-									if pending > 0 {
-										pending--
-										wake = true
-										q.WakeOne()
-									} else {
-										pending++
-									}
-								})
-								if !wake {
+								if pending > 0 {
+									pending--
+									q.WakeOne()
+								} else if arrived[phase] < procs-1 {
+									pending++
 									q.Wait(p)
 								}
 							}
 						}
-						tr.add(p, "arrive %d", phase)
-						bar.Arrive(p)
-					}
-					// Drain stragglers parked on the pairing queue so the
-					// run ends cleanly.
-					p.Ordered(func() {
+						// Release a partner still waiting on the pairing
+						// queue, or it would hold the barrier forever.
 						if pending > 0 {
 							pending--
 							q.WakeOne()
 						}
-					})
+						tr.add(p, "arrive %d", phase)
+						arrived[phase]++
+						bar.Arrive(p)
+					}
 				})
 			}
 		}
-		for _, workers := range []int{2, 4, 8} {
-			t.Run(fmt.Sprintf("seed%d_w%d", seed, workers), func(t *testing.T) {
-				runBoth(t, workers, 10, build)
+		for _, engines := range []int{2, 4, 8} {
+			t.Run(fmt.Sprintf("seed%d_w%d", seed, engines), func(t *testing.T) {
+				if err := runConcurrent(t, engines, build); err != nil {
+					t.Fatal(err)
+				}
 			})
 		}
 	}
 }
 
-// TestParallelDeadlockIdentical: a program that deadlocks must produce
-// the same DeadlockError from both modes and leak nothing.
+// TestParallelDeadlock: a program that deadlocks reports the same
+// DeadlockError on every concurrent engine and returns every carrier.
 func TestParallelDeadlock(t *testing.T) {
-	build := func(e *Engine, tr *trace) {
+	err := runConcurrent(t, 4, func(e *Engine, tr *trace) {
 		var q Queue
 		for i := 0; i < 4; i++ {
 			e.Spawn(fmt.Sprintf("stuck%d", i), func(p *Proc) {
@@ -174,21 +188,18 @@ func TestParallelDeadlock(t *testing.T) {
 				q.Wait(p) // nobody wakes anyone
 			})
 		}
-	}
-	eng, _ := runBoth(t, 4, 100, build)
+	})
 	var dl *DeadlockError
-	seq := NewEngine()
-	build(seq, &trace{})
-	if err := seq.Run(); !errors.As(err, &dl) {
-		t.Fatalf("sequential run did not deadlock: %v", err)
+	if !errors.As(err, &dl) || len(dl.Procs) != 4 {
+		t.Fatalf("want a DeadlockError naming 4 processes, got %v", err)
 	}
-	_ = eng
 }
 
-// TestParallelPanicPropagates: a process panic fails the run with the
-// same error text as the sequential kernel and unwinds every goroutine.
+// TestParallelPanic: a process panic fails the run with the same error
+// text on every concurrent engine, and the panicked runs return their
+// carriers to the freelist.
 func TestParallelPanic(t *testing.T) {
-	runBoth(t, 4, 50, func(e *Engine, tr *trace) {
+	build := func(e *Engine, tr *trace) {
 		for i := 0; i < 4; i++ {
 			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
 				p.Hold(Time(10 * (p.ID + 1)))
@@ -198,156 +209,186 @@ func TestParallelPanic(t *testing.T) {
 				p.Hold(1000)
 			})
 		}
-	})
+	}
+	runConcurrent(t, 4, build) // warm the freelist to at least 16 carriers
+	idle := IdleCarriers()
+	if err := runConcurrent(t, 4, build); err == nil {
+		t.Fatal("panicking program succeeded")
+	}
+	if got := IdleCarriers(); got != idle {
+		t.Fatalf("idle carriers %d after panicked runs, want %d", got, idle)
+	}
 }
 
-// TestParallelInterrupt aborts a parallel run mid-flight and requires the
-// degenerate drain: an AbortError, no leaked goroutines, and a recorded
-// mid-flight fallback.
+// TestParallelInterrupt aborts engines running at once mid-flight: each
+// returns an AbortError, and every carrier comes back.
 func TestParallelInterrupt(t *testing.T) {
-	before := runtime.NumGoroutine()
-	e := NewEngine()
-	var started atomic.Bool
-	for i := 0; i < 8; i++ {
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			for {
-				started.Store(true)
-				p.Hold(5)
-				p.Yield()
+	base := liveGoroutines()
+	const engines = 4
+	var wg sync.WaitGroup
+	errs := make([]error, engines)
+	for k := 0; k < engines; k++ {
+		e := NewEngine()
+		var started atomic.Bool
+		for i := 0; i < 8; i++ {
+			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+				for {
+					started.Store(true)
+					p.Hold(5)
+					p.Yield()
+				}
+			})
+		}
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for !started.Load() {
+				runtime.Gosched()
 			}
-		})
+			time.Sleep(200 * time.Microsecond)
+			e.Interrupt()
+		}()
+		go func(k int) {
+			defer wg.Done()
+			errs[k] = e.Run()
+			if !allTerminated(e) {
+				t.Errorf("engine %d left live processes", k)
+			}
+		}(k)
 	}
-	e.SetParallel(4, 10, func(id int) int { return id % 4 })
-	go func() {
-		for !started.Load() {
-			runtime.Gosched()
+	wg.Wait()
+	for k, err := range errs {
+		var abort *AbortError
+		if !errors.As(err, &abort) {
+			t.Fatalf("engine %d: interrupted run returned %v, want *AbortError", k, err)
 		}
-		time.Sleep(200 * time.Microsecond)
-		e.Interrupt()
-	}()
-	err := e.Run()
-	var abort *AbortError
-	if !errors.As(err, &abort) {
-		t.Fatalf("interrupted run returned %v, want *AbortError", err)
 	}
-	rep := e.ParReport()
-	if !rep.Parallel {
-		t.Fatal("run did not execute in parallel mode")
-	}
-	if rep.Fallback != "drained-mid-flight" {
-		t.Fatalf("Fallback = %q, want drained-mid-flight", rep.Fallback)
-	}
-	// Every process goroutine must have unwound.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d > %d before", runtime.NumGoroutine(), before)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	settleGoroutines(t, base)
 }
 
-// TestParallelFallbackReasons checks each incompatibility the engine
-// detects, and that a fallback run still completes correctly.
-func TestParallelFallbackReasons(t *testing.T) {
-	newTwo := func() *Engine {
-		e := NewEngine()
-		for i := 0; i < 2; i++ {
-			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) { p.Hold(5) })
-		}
-		return e
-	}
-	cases := []struct {
-		name string
-		prep func(e *Engine)
-		want string
-	}{
-		{"forced", func(e *Engine) { e.ForceSequential("machine-decorator") }, "machine-decorator"},
-		{"zero-lookahead", func(e *Engine) { e.SetParallel(4, 0, func(id int) int { return id }) }, "zero-lookahead"},
-		{"tick-hook", func(e *Engine) { e.Tick = func(Time) {} }, "tick-hook"},
-		{"time-limit", func(e *Engine) { e.MaxTime = 1 << 40 }, "time-limit-watchdog"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			e := newTwo()
-			e.SetParallel(4, 10, func(id int) int { return id })
-			c.prep(e)
-			if e.WillRunParallel() {
-				t.Fatal("WillRunParallel = true, want false")
-			}
-			if err := e.Run(); err != nil {
-				t.Fatalf("fallback run failed: %v", err)
-			}
-			rep := e.ParReport()
-			if rep.Parallel {
-				t.Fatal("fallback run reported parallel execution")
-			}
-			if rep.Fallback != c.want {
-				t.Fatalf("Fallback = %q, want %q", rep.Fallback, c.want)
-			}
-		})
-	}
-	t.Run("single-process", func(t *testing.T) {
-		e := NewEngine()
-		e.Spawn("only", func(p *Proc) { p.Hold(5) })
-		e.SetParallel(4, 10, func(id int) int { return id })
-		if e.WillRunParallel() {
-			t.Fatal("WillRunParallel = true for one process")
-		}
-		if err := e.Run(); err != nil {
-			t.Fatalf("run failed: %v", err)
-		}
-		if got := e.ParReport().Fallback; got != "single-process" {
-			t.Fatalf("Fallback = %q, want single-process", got)
-		}
-	})
-}
-
-// TestParallelReset: a pooled engine clears all parallel state on Reset
-// and runs sequentially afterwards.
+// TestParallelReset: a pooled engine is reset and re-run on a different
+// goroutine than its first run; carriers do not care which goroutine
+// resumes them.
 func TestParallelReset(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 2; i++ {
 		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) { p.Hold(5) })
 	}
-	e.SetParallel(2, 10, func(id int) int { return id })
 	if err := e.Run(); err != nil {
-		t.Fatalf("parallel run failed: %v", err)
-	}
-	if !e.ParReport().Parallel {
-		t.Fatal("first run was not parallel")
+		t.Fatalf("first run failed: %v", err)
 	}
 	e.Reset()
-	if rep := e.ParReport(); rep.Requested != 0 || rep.Parallel || rep.Fallback != "" || rep.Windows != 0 {
-		t.Fatalf("Reset left parallel state behind: %+v", rep)
+	ran := false
+	e.Spawn("after", func(p *Proc) {
+		p.Hold(3)
+		ran = true
+	})
+	done := make(chan error)
+	go func() { done <- e.Run() }()
+	if err := <-done; err != nil || !ran {
+		t.Fatalf("re-run after Reset: err=%v ran=%v", err, ran)
 	}
-	e.Spawn("after", func(p *Proc) { p.Hold(3) })
-	if err := e.Run(); err != nil {
-		t.Fatalf("sequential re-run failed: %v", err)
-	}
-	if e.ParReport().Parallel {
-		t.Fatal("re-run after Reset unexpectedly parallel")
+	if e.Now() != 3 {
+		t.Fatalf("re-run clock %v, want 3", e.Now())
 	}
 }
 
-// TestParallelMidRunSpawn: processes spawned from inside a parallel run
-// join the window and the result stays identical to sequential.
+// TestParallelMidRunSpawn: processes spawned from inside a run take
+// carriers mid-run, on several engines at once.
 func TestParallelMidRunSpawn(t *testing.T) {
-	runBoth(t, 2, 20, func(e *Engine, tr *trace) {
+	err := runConcurrent(t, 2, func(e *Engine, tr *trace) {
 		for i := 0; i < 2; i++ {
 			e.Spawn(fmt.Sprintf("root%d", i), func(p *Proc) {
 				p.Hold(Time(5 * (p.ID + 1)))
-				var child *Proc
-				p.Ordered(func() {
-					child = e.Spawn(fmt.Sprintf("child-of-%d", p.ID), func(c *Proc) {
-						c.Hold(7)
-						tr.add(c, "child done")
-					})
+				e.Spawn(fmt.Sprintf("child-of-%d", p.ID), func(c *Proc) {
+					c.Hold(7)
+					tr.add(c, "child done")
 				})
-				_ = child
 				tr.add(p, "spawned")
 				p.Hold(30)
 			})
 		}
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCarriersReusedAcrossEngines: once the freelist is warm, two
+// engines running at once on two goroutines start every process on a
+// reused carrier — the idle count is the same after every round — and
+// panicked and aborted runs hand their carriers back too.
+func TestCarriersReusedAcrossEngines(t *testing.T) {
+	const procs = 16
+	build := func(fail string) *Engine {
+		e := NewEngine()
+		var q Queue
+		for i := 0; i < procs; i++ {
+			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+				p.Hold(Time(1 + p.ID%3))
+				switch {
+				case fail == "panic" && p.ID == procs-1:
+					panic("boom")
+				case fail == "park" && p.ID%2 == 0:
+					q.Wait(p) // stays parked until the abort unwinds it
+				}
+				p.Hold(5)
+			})
+		}
+		if fail == "abort" {
+			e.Interrupt()
+		}
+		return e
+	}
+	pair := func(fail string) []error {
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for k := range errs {
+			e := build(fail)
+			wg.Add(1)
+			go func(k int) {
+				defer wg.Done()
+				errs[k] = e.Run()
+			}(k)
+		}
+		wg.Wait()
+		return errs
+	}
+	pair("") // warm: the freelist now holds at least 2*procs carriers
+	idle := IdleCarriers()
+	if idle < 2*procs {
+		t.Fatalf("warm freelist holds %d carriers, want >= %d", idle, 2*procs)
+	}
+	for _, fail := range []string{"", "panic", "abort", "park", ""} {
+		errs := pair(fail)
+		for k, err := range errs {
+			if (err == nil) != (fail == "") {
+				t.Fatalf("%q engine %d: err=%v", fail, k, err)
+			}
+		}
+		if got := IdleCarriers(); got != idle {
+			t.Fatalf("after %q runs: %d idle carriers, want %d (every carrier reused and returned)", fail, got, idle)
+		}
+	}
+}
+
+// TestCarrierFreelistBounded: a run wider than the freelist bound stops
+// the carriers that do not fit, so the freelist never exceeds the bound.
+func TestCarrierFreelistBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns more processes than the freelist bound")
+	}
+	base := liveGoroutines()
+	e := NewEngine()
+	for i := 0; i < carrierCap+64; i++ {
+		e.Spawn("w", func(p *Proc) { p.Hold(1) })
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := IdleCarriers(); got != carrierCap {
+		t.Fatalf("freelist holds %d carriers after a %d-process run, want the bound %d",
+			got, carrierCap+64, carrierCap)
+	}
+	settleGoroutines(t, base)
 }

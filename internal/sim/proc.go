@@ -18,38 +18,21 @@ type Proc struct {
 	Name string
 
 	eng        *Engine
-	resume     chan struct{}
+	fn         func(*Proc) // the body; nil once the process terminates
+	car        *carrier    // the coroutine running the body, once started
 	parked     bool
 	terminated bool
 	gen        uint64 // generation counter; events with an older gen are stale
 	lag        Time   // local clock advance not yet materialized
 	sched      Time   // latest scheduled resumption (see Horizon)
-
-	// Parallel-mode span state (see parallel.go).  at/spanSeq are the
-	// (at, seq) release key of the process's current span; dom is its
-	// clock-vector domain; gate carries grant handoffs; granted/wantGate
-	// implement the ordered commit gate's handoff protocol.
-	at       Time
-	spanSeq  uint64
-	dom      int
-	gate     chan struct{}
-	granted  bool
-	wantGate bool
 }
 
 // Engine returns the engine this process runs on.
 func (p *Proc) Engine() *Engine { return p.eng }
 
 // Now reports the process's local simulated time (the global event time
-// plus any deferred local work).  In parallel mode the span's dispatch
-// time stands in for the global clock: it is exactly what the sequential
-// kernel's clock reads while this process runs.
-func (p *Proc) Now() Time {
-	if p.eng.par != nil {
-		return p.at + p.lag
-	}
-	return p.eng.now + p.lag
-}
+// plus any deferred local work).
+func (p *Proc) Now() Time { return p.eng.now + p.lag }
 
 // Horizon reports how far the process has progressed along its own
 // timeline: its local clock, or its latest scheduled resumption if that
@@ -65,22 +48,19 @@ func (p *Proc) Horizon() Time {
 }
 
 // block dispatches the next event and waits to be resumed.  When the
-// next event belongs to p itself, advance returns with the run token
-// still here and block returns immediately — no goroutine handoff.
+// next event belongs to p itself, advance returns true and block returns
+// immediately — no coroutine switch.  Otherwise p yields to Run's
+// dispatch loop, which resumes it when one of its events is dispatched.
 //
 // If the run began aborting while p was blocked, the resumption is the
-// process's last: block panics with abortSignal so the goroutine
-// unwinds out of the application code and terminates (Spawn's handler
+// process's last: block panics with abortSignal so the process unwinds
+// out of the application code and terminates (Proc.run's handler
 // recognizes the signal), instead of running on inside a dead
 // simulation.
 func (p *Proc) block() {
-	if p.eng.advance(p) {
-		if p.eng.aborting {
-			panic(abortSignal{})
-		}
-		return
+	if !p.eng.advance(p) {
+		p.car.yield(struct{}{}) // back to Run's dispatch loop
 	}
-	<-p.resume
 	if p.eng.aborting {
 		panic(abortSignal{})
 	}
@@ -107,10 +87,6 @@ func (p *Proc) FlushLag() {
 	if p.lag > 0 {
 		d := p.lag
 		p.lag = 0
-		if p.eng.par != nil {
-			p.parHold(p.at + d)
-			return
-		}
 		p.eng.schedule(p.eng.now+d, p)
 		p.block()
 	}
@@ -127,12 +103,6 @@ func (p *Proc) Hold(d Time) {
 	if d+p.lag <= 0 {
 		return
 	}
-	if p.eng.par != nil {
-		at := p.at + p.lag + d
-		p.lag = 0
-		p.parHold(at)
-		return
-	}
 	at := p.eng.now + p.lag + d
 	p.lag = 0
 	p.eng.schedule(at, p)
@@ -145,10 +115,6 @@ func (p *Proc) HoldUntil(t Time) {
 		return
 	}
 	p.lag = 0
-	if p.eng.par != nil {
-		p.parHold(t)
-		return
-	}
 	p.eng.schedule(t, p)
 	p.block()
 }
@@ -158,27 +124,6 @@ func (p *Proc) HoldUntil(t Time) {
 // enqueueing (see Queue.Wait); Park itself must not flush, because by
 // the time it runs the process may already be visible to wakers.
 func (p *Proc) Park() {
-	e := p.eng
-	if e.par != nil {
-		// Parking ends the span: the parked flag is release bookkeeping,
-		// so committing it is the span's final global section.
-		p.enterGate()
-		e.parMu.Lock()
-		p.parked = true
-		e.parMu.Unlock()
-		if p.parEnd() {
-			<-p.resume
-			if e.aborting {
-				panic(abortSignal{})
-			}
-			return
-		}
-		// Retiring this span drained the run out of parallel mode
-		// (interrupt, or a deadlock about to be diagnosed); rejoin the
-		// sequential dispatch loop, which unwinds or ends the run.
-		p.block()
-		return
-	}
 	p.parked = true
 	p.block()
 }
@@ -192,21 +137,6 @@ func (p *Proc) Park() {
 // legitimately try to wake peers that are no longer parked.
 func (p *Proc) Wake() {
 	e := p.eng
-	if e.par != nil {
-		// The waker holds the commit grant (wakes happen inside Ordered
-		// sections of synchronization objects), so e.now — the waker's
-		// span time — is stable, and the heap push serializes under the
-		// gate mutex.  A parallel run is never aborting (the engine
-		// leaves parallel mode before any unwind begins).
-		e.parMu.Lock()
-		if !p.parked {
-			e.parMu.Unlock()
-			panic(fmt.Sprintf("sim: Wake of non-parked process %q", p.Name))
-		}
-		e.parScheduleLocked(e.now, p)
-		e.parMu.Unlock()
-		return
-	}
 	if e.aborting {
 		return
 	}
@@ -219,12 +149,6 @@ func (p *Proc) Wake() {
 // Yield reschedules the process at its current local time behind any
 // other process already scheduled there, giving them a chance to run.
 func (p *Proc) Yield() {
-	if p.eng.par != nil {
-		at := p.at + p.lag
-		p.lag = 0
-		p.parHold(at)
-		return
-	}
 	at := p.eng.now + p.lag
 	p.lag = 0
 	p.eng.schedule(at, p)

@@ -20,8 +20,7 @@ import (
 // per event across tens of thousands of events.
 const (
 	// ladderProcs: a run with at least this many processes selects the
-	// ladder queue at Run (per domain-local queue in parallel mode:
-	// procs/domains).
+	// ladder queue at Run.
 	ladderProcs = 256
 	// ladderPending: a heap backlog beyond this escalates mid-run.
 	ladderPending = 4096
@@ -112,6 +111,8 @@ type ladderQueue struct {
 	topStart Time
 	topMin   Time
 	topMax   Time
+
+	cnt []int // fill's per-bucket count scratch
 }
 
 // ladderRung is one bucket array: bucket i spans
@@ -128,6 +129,73 @@ type ladderRung struct {
 // curStart is the rung's consumption point: events at or past it still
 // route into this rung, earlier ones belong to inner structures.
 func (r *ladderRung) curStart() Time { return r.start + Time(r.cur)*r.width }
+
+// index returns the bucket an event at time at belongs to; times past
+// the last bucket land in it.
+func (r *ladderRung) index(at Time) int {
+	idx := int((at - r.start) / r.width)
+	if idx >= len(r.bkt) {
+		idx = len(r.bkt) - 1
+	}
+	return idx
+}
+
+// bucketAppend appends ev to a rung bucket.  Buckets may be carved from
+// a shared allocation (see fill), so storage a bucket outgrows is
+// cleared: it stays reachable through its neighbours and must not pin
+// processes.
+func bucketAppend(b []event, ev event) []event {
+	if len(b) == cap(b) {
+		grown := append(make([]event, 0, max(16, 2*len(b))), b...)
+		clearEvents(b)
+		return append(grown, ev)
+	}
+	return append(b, ev)
+}
+
+// fill distributes evs over rung r's buckets.  A counting pass first
+// gives every bucket short of room a slice carved from one shared
+// allocation — room for its events plus half again for later pushes — so
+// spreading a batch costs one allocation instead of a few per bucket as
+// each grows.
+func (l *ladderQueue) fill(r *ladderRung, evs []event) {
+	cnt := l.cnt[:0]
+	for range r.bkt {
+		cnt = append(cnt, 0)
+	}
+	for i := range evs {
+		cnt[r.index(evs[i].at)]++
+	}
+	room := func(i int) int { n := len(r.bkt[i]) + cnt[i]; return n + n/2 }
+	need := 0
+	for i, b := range r.bkt {
+		if cap(b)-len(b) < cnt[i] {
+			need += room(i)
+		}
+	}
+	if need > 0 {
+		arena := make([]event, need)
+		for i, b := range r.bkt {
+			if cap(b)-len(b) < cnt[i] {
+				n := room(i)
+				// The full slice expression caps the bucket at its own
+				// region, so growing it later reallocates rather than
+				// running into its neighbour.
+				carved := arena[:len(b):n]
+				copy(carved, b)
+				clearEvents(b)
+				r.bkt[i] = carved
+				arena = arena[n:]
+			}
+		}
+	}
+	for _, ev := range evs {
+		i := r.index(ev.at)
+		r.bkt[i] = append(r.bkt[i], ev)
+	}
+	r.n += len(evs)
+	l.cnt = cnt[:0]
+}
 
 func (l *ladderQueue) len() int { return l.n }
 
@@ -150,11 +218,8 @@ func (l *ladderQueue) push(ev event) {
 	for i := range l.rungs {
 		r := &l.rungs[i]
 		if ev.at >= r.curStart() {
-			idx := int((ev.at - r.start) / r.width)
-			if idx >= len(r.bkt) {
-				idx = len(r.bkt) - 1
-			}
-			r.bkt[idx] = append(r.bkt[idx], ev)
+			idx := r.index(ev.at)
+			r.bkt[idx] = bucketAppend(r.bkt[idx], ev)
 			r.n++
 			return
 		}
@@ -269,14 +334,7 @@ func (l *ladderQueue) spread(ri int) {
 	r.n -= len(b)
 	r.cur++
 	nr := l.addRung(start, width, nb) // may grow l.rungs: r is dead now
-	for _, ev := range b {
-		idx := int((ev.at - start) / width)
-		if idx >= len(nr.bkt) {
-			idx = len(nr.bkt) - 1
-		}
-		nr.bkt[idx] = append(nr.bkt[idx], ev)
-	}
-	nr.n = len(b)
+	l.fill(nr, b)
 	clearEvents(b)
 }
 
@@ -290,14 +348,7 @@ func (l *ladderQueue) spreadTop() {
 	}
 	nb := int((span + width - 1) / width)
 	nr := l.addRung(l.topMin, width, nb)
-	for _, ev := range l.top {
-		idx := int((ev.at - nr.start) / nr.width)
-		if idx >= len(nr.bkt) {
-			idx = len(nr.bkt) - 1
-		}
-		nr.bkt[idx] = append(nr.bkt[idx], ev)
-	}
-	nr.n = len(l.top)
+	l.fill(nr, l.top)
 	l.topStart = nr.start + nr.width*Time(nb)
 	clearEvents(l.top)
 	l.top = l.top[:0]

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -225,36 +226,47 @@ func TestLadderSelection(t *testing.T) {
 	}
 }
 
-// TestParallelQueueRetention runs a windowed parallel run large enough
-// to select per-domain ladder queues and checks that no backing slot of
-// any per-domain store retains a *Proc afterwards — the parallel-mode
-// counterpart of TestQueueRetainsNoProcsAfterRun, covering pooled reuse
-// of engines whose last run was parallel.
+// TestParallelQueueRetention runs two ladder-sized engines at once on two
+// goroutines, sharing the carrier freelist, and checks that afterwards no
+// backing slot of either engine's event structures — and no idle carrier
+// — still references a *Proc: a pooled engine or a parked carrier must
+// not pin a finished run's processes.
 func TestParallelQueueRetention(t *testing.T) {
-	const doms = 2
-	e := NewEngine()
-	for i := 0; i < doms*ladderProcs; i++ {
-		i := i
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			for j := 0; j < 5; j++ {
-				p.Hold(Time(10 + (i+j)%7))
+	engines := make([]*Engine, 2)
+	var wg sync.WaitGroup
+	for k := range engines {
+		e := NewEngine()
+		engines[k] = e
+		for i := 0; i < ladderProcs; i++ {
+			i := i
+			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+				for j := 0; j < 5; j++ {
+					p.Hold(Time(10 + (i+j)%7))
+				}
+			})
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := e.Run(); err != nil {
+				t.Error(err)
 			}
-		})
+		}()
 	}
-	e.SetParallel(2, 5, func(id int) int { return id % doms })
-	if !e.WillRunParallel() {
-		t.Fatalf("parallel mode unavailable: %q", e.parFallback())
+	wg.Wait()
+	for _, e := range engines {
+		if e.q != &e.lad {
+			t.Fatal("run did not select the ladder queue")
+		}
+		scanRetained(t, e, "after concurrent run")
+		e.Reset()
+		scanRetained(t, e, "after concurrent run + Reset")
 	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	carrierFree.Lock()
+	defer carrierFree.Unlock()
+	for i, c := range carrierFree.idle {
+		if c.p != nil {
+			t.Errorf("idle carrier %d still references proc %q", i, c.p.Name)
+		}
 	}
-	if !e.ParReport().Parallel {
-		t.Fatal("run did not execute in parallel mode")
-	}
-	if len(e.pqLads) < doms {
-		t.Fatalf("run did not select per-domain ladder queues (stores: %d)", len(e.pqLads))
-	}
-	scanRetained(t, e, "after parallel run")
-	e.Reset()
-	scanRetained(t, e, "after parallel run + Reset")
 }

@@ -6,14 +6,6 @@ package sim
 // traffic-generating synchronization (spin locks, flags, barriers built
 // from shared variables) lives in internal/app and is layered on top of
 // these primitives plus simulated memory accesses.
-//
-// Every touch of an object's shared fields happens inside an Ordered
-// section so these primitives are safe (and bit-identical) under the
-// parallel execution mode; in sequential mode Ordered is a direct call
-// and the code below is exactly the pre-parallel implementation.
-// Methods without a *Proc parameter (Queue.WakeOne/WakeAll/Remove,
-// Semaphore.Release) must be called from inside an Ordered section of
-// the calling process when a parallel run may be in flight.
 
 // Queue is a FIFO wait queue of parked processes.
 type Queue struct {
@@ -29,10 +21,7 @@ func (q *Queue) Len() int { return len(q.waiters) }
 func (q *Queue) Wait(p *Proc) Time {
 	p.FlushLag()
 	t0 := p.Now()
-	// Enqueue and park form one span (the grant persists from the
-	// Ordered section through Park), so a waker can never observe the
-	// process in the queue before it is parked.
-	p.Ordered(func() { q.waiters = append(q.waiters, p) })
+	q.waiters = append(q.waiters, p)
 	p.Park()
 	return p.Now() - t0
 }
@@ -88,37 +77,22 @@ func (l *Lock) Held() bool { return l.holder != nil }
 // directly to the longest waiter on Release, so acquisition is FIFO-fair
 // and deterministic.
 func (l *Lock) Acquire(p *Proc) Time {
-	var taken, recursive bool
-	p.Ordered(func() {
-		switch l.holder {
-		case nil:
-			l.holder = p
-			taken = true
-		case p:
-			recursive = true
-		}
-	})
-	if recursive {
-		panic("sim: recursive Lock.Acquire by " + p.Name)
-	}
-	if taken {
+	if l.holder == nil {
+		l.holder = p
 		return 0
+	}
+	if l.holder == p {
+		panic("sim: recursive Lock.Acquire by " + p.Name)
 	}
 	// Contended: materialize deferred local time, re-check (the lock
 	// may have been released while we flushed), then queue up.
 	t0 := p.Now()
 	p.FlushLag()
-	p.Ordered(func() {
-		if l.holder == nil {
-			l.holder = p
-			taken = true
-			return
-		}
-		l.q.waiters = append(l.q.waiters, p)
-	})
-	if taken {
+	if l.holder == nil {
+		l.holder = p
 		return p.Now() - t0
 	}
+	l.q.waiters = append(l.q.waiters, p)
 	p.Park()
 	// Release transferred ownership to us before waking us.
 	return p.Now() - t0
@@ -126,24 +100,17 @@ func (l *Lock) Acquire(p *Proc) Time {
 
 // Release hands the lock to the longest waiter, or unlocks it if none.
 func (l *Lock) Release(p *Proc) {
-	var bad bool
-	p.Ordered(func() {
-		if l.holder != p {
-			bad = true
-			return
-		}
-		if len(l.q.waiters) == 0 {
-			l.holder = nil
-			return
-		}
-		next := l.q.waiters[0]
-		l.q.waiters = l.q.waiters[1:]
-		l.holder = next
-		next.Wake()
-	})
-	if bad {
+	if l.holder != p {
 		panic("sim: Lock.Release by non-holder " + p.Name)
 	}
+	if len(l.q.waiters) == 0 {
+		l.holder = nil
+		return
+	}
+	next := l.q.waiters[0]
+	l.q.waiters = l.q.waiters[1:]
+	l.holder = next
+	next.Wake()
 }
 
 // Barrier synchronizes a fixed party of N processes in simulated time.
@@ -165,16 +132,15 @@ func NewBarrier(n int) *Barrier {
 // them all; it returns the simulated time the caller spent waiting.
 // The barrier resets automatically and may be reused.
 func (b *Barrier) Arrive(p *Proc) Time {
-	var release bool
-	p.Ordered(func() {
-		b.arrived++
-		if b.arrived == b.n {
-			b.arrived = 0
-			b.q.WakeAll()
-			release = true
-		}
-	})
-	if release {
+	// Arrive at the process's local time: deferred time is materialized
+	// before the arrival counts, so the last arriver releases the others
+	// no earlier than it got here, and no arriver can be released while
+	// it is still flushing on its way into the queue.
+	p.FlushLag()
+	b.arrived++
+	if b.arrived == b.n {
+		b.arrived = 0
+		b.q.WakeAll()
 		return 0
 	}
 	return b.q.Wait(p)
@@ -193,19 +159,17 @@ func NewSemaphore(initial int) *Semaphore { return &Semaphore{count: initial} }
 // It returns the simulated time spent waiting.
 func (s *Semaphore) Acquire(p *Proc) Time {
 	var waited Time
-	for {
-		var got bool
-		p.Ordered(func() {
-			if s.count > 0 {
-				s.count--
-				got = true
-			}
-		})
-		if got {
-			return waited
+	for s.count == 0 {
+		if p.Lag() > 0 {
+			// Materialize deferred time, then re-check: a Release
+			// during the flush would find no waiter and be missed.
+			p.FlushLag()
+			continue
 		}
 		waited += s.q.Wait(p)
 	}
+	s.count--
+	return waited
 }
 
 // Release increments the count and wakes one waiter, if any.

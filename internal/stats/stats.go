@@ -114,7 +114,6 @@ type Run struct {
 
 // EventsPerSec returns the host-side simulation rate — dispatched engine
 // events per wall-clock second — or 0 when no wall time was recorded.
-// It is the throughput axis parallel execution is measured on.
 func (r *Run) EventsPerSec() float64 {
 	if r.Wall <= 0 {
 		return 0

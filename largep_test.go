@@ -11,6 +11,7 @@ package spasm
 import (
 	"bytes"
 	"encoding/json"
+	"sync"
 	"testing"
 
 	"spasm/internal/report"
@@ -91,23 +92,39 @@ func TestFlow1024PooledIdentical(t *testing.T) {
 	}
 }
 
-// TestFlow256ProcsParallelIdentical drives a 256-processor flow-tier
-// spec through the parallel-workers path: the conservative kernel must
-// stay bit-identical to the sequential one at large P.
+// TestFlow256ProcsParallelIdentical runs a 256-processor flow-tier spec
+// alone and then twice at once on two goroutines, which share the
+// kernel's coroutine freelist (and set the ignored Workers knob): the
+// concurrent runs must match the lone one at large P.
 func TestFlow256ProcsParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-processor runs")
 	}
-	seq, err := RunSpec(Spec{App: "uniform", Machine: Flow, Topology: "mesh", P: 256})
+	spec := Spec{App: "uniform", Machine: Flow, Topology: "mesh", P: 256}
+	seq, err := RunSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunSpec(Spec{App: "uniform", Machine: Flow, Topology: "mesh", P: 256, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	res := make([]*Result, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for k := range res {
+		pspec := spec
+		pspec.Workers = 4
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			res[k], errs[k] = RunSpec(pspec)
+		}(k)
 	}
-	if seq.Stats.Total != par.Stats.Total || seq.Stats.Messages() != par.Stats.Messages() {
-		t.Fatalf("parallel run diverged: %v/%d vs %v/%d",
-			par.Stats.Total, par.Stats.Messages(), seq.Stats.Total, seq.Stats.Messages())
+	wg.Wait()
+	for k, par := range res {
+		if errs[k] != nil {
+			t.Fatal(errs[k])
+		}
+		if seq.Stats.Total != par.Stats.Total || seq.Stats.Messages() != par.Stats.Messages() {
+			t.Fatalf("concurrent run %d diverged: %v/%d vs %v/%d",
+				k, par.Stats.Total, par.Stats.Messages(), seq.Stats.Total, seq.Stats.Messages())
+		}
 	}
 }

@@ -1,27 +1,28 @@
 package spasm
 
-// Parallel-execution determinism lock: the conservative parallel kernel
-// (Spec.Workers > 1) must produce byte-identical report documents to the
-// sequential kernel — same events, same clocks, same statistics — for
-// every application, machine kind, and topology it accelerates, and must
-// fall back (visibly, via Result.Par) on the kinds it cannot.  This is
-// the subsystem's non-negotiable contract: parallelism is an execution
-// detail, never a source of divergence.
+// Host-parallelism determinism lock: simulations run concurrently on
+// host goroutines — which share the kernel's pool of process coroutines
+// — must produce byte-identical report documents to the same runs made
+// one at a time, and Spec.Workers, accepted for compatibility, must
+// change nothing.  Parallelism is an execution detail, never a source of
+// divergence.
 
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"spasm/internal/report"
+	"spasm/internal/sim"
 )
 
-// parallelCombos enumerates the (kind, topology) pairs the parallel
-// kernel accelerates: the latency-bound machines across the full
-// topology set, plus the ideal machine (which has no network at all).
+// parallelCombos enumerates the (kind, topology) pairs checked: the
+// latency-bound machines across the full topology set, the ideal
+// machine, and the coherent machines on the full network.
 func parallelCombos() []struct {
 	kind Kind
 	topo string
@@ -38,16 +39,21 @@ func parallelCombos() []struct {
 			}{kind, topo})
 		}
 	}
-	combos = append(combos, struct {
-		kind Kind
-		topo string
-	}{Ideal, "full"})
+	for _, kind := range []Kind{Ideal, Target, CLogP} {
+		combos = append(combos, struct {
+			kind Kind
+			topo string
+		}{kind, "full"})
+	}
 	return combos
 }
 
+// TestParallelRunsBitIdentical runs every application on every combo once
+// alone, then again on two goroutines at once with Workers 2 and 4, and
+// requires byte-identical RunDocs.
 func TestParallelRunsBitIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full Tiny suite x machine/topology combos x worker counts")
+		t.Skip("full Tiny suite x machine/topology combos, run twice concurrently")
 	}
 	pool := NewRunPool(0)
 	for _, app := range Apps() {
@@ -55,73 +61,37 @@ func TestParallelRunsBitIdentical(t *testing.T) {
 			spec := Spec{App: app, Scale: Tiny, Machine: c.kind, Topology: c.topo, P: 8}
 			seq, err := RunSpecControlled(spec, pool, RunControl{})
 			if err != nil {
-				t.Fatalf("sequential %s on %v/%s: %v", app, c.kind, c.topo, err)
+				t.Fatalf("alone %s on %v/%s: %v", app, c.kind, c.topo, err)
 			}
 			want, err := json.Marshal(report.RunJSON(seq))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{2, 4} {
+			got := make([][]byte, 2)
+			errs := make([]error, 2)
+			var wg sync.WaitGroup
+			for k := range got {
 				pspec := spec
-				pspec.Workers = workers
-				par, err := RunSpecControlled(pspec, pool, RunControl{})
-				if err != nil {
-					t.Fatalf("parallel(%d) %s on %v/%s: %v", workers, app, c.kind, c.topo, err)
+				pspec.Workers = 2 * (k + 1)
+				wg.Add(1)
+				go func(k int) {
+					defer wg.Done()
+					res, err := RunSpecControlled(pspec, pool, RunControl{})
+					if err == nil {
+						got[k], err = json.Marshal(report.RunJSON(res))
+					}
+					errs[k] = err
+				}(k)
+			}
+			wg.Wait()
+			for k := range got {
+				if errs[k] != nil {
+					t.Fatalf("concurrent %s on %v/%s: %v", app, c.kind, c.topo, errs[k])
 				}
-				if par.Par == nil || !par.Par.Parallel {
-					t.Fatalf("parallel(%d) %s on %v/%s did not run parallel: %+v",
-						workers, app, c.kind, c.topo, par.Par)
+				if !bytes.Equal(got[k], want) {
+					t.Fatalf("concurrent run %d of %s on %v/%s diverged\nalone:      %s\nconcurrent: %s",
+						k, app, c.kind, c.topo, want, got[k])
 				}
-				got, err := json.Marshal(report.RunJSON(par))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("parallel(%d) %s on %v/%s diverged from sequential\nseq: %s\npar: %s",
-						workers, app, c.kind, c.topo, want, got)
-				}
-			}
-		}
-	}
-}
-
-// TestParallelFallbackBitIdentical locks the other half of the contract:
-// machine kinds whose minimum cross-process latency is zero (the
-// coherence-modelling Target and CLogP) decline the parallel mode, record
-// why, and still produce byte-identical results through the sequential
-// path they fall back to.
-func TestParallelFallbackBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("Tiny suite on the coherent machines")
-	}
-	pool := NewRunPool(0)
-	for _, app := range Apps() {
-		for _, kind := range []Kind{Target, CLogP} {
-			spec := Spec{App: app, Scale: Tiny, Machine: kind, P: 8}
-			seq, err := RunSpecControlled(spec, pool, RunControl{})
-			if err != nil {
-				t.Fatalf("sequential %s on %v: %v", app, kind, err)
-			}
-			pspec := spec
-			pspec.Workers = 4
-			par, err := RunSpecControlled(pspec, pool, RunControl{})
-			if err != nil {
-				t.Fatalf("workers=4 %s on %v: %v", app, kind, err)
-			}
-			if par.Par == nil {
-				t.Fatalf("%s on %v: Workers=4 run carries no parallel report", app, kind)
-			}
-			if par.Par.Parallel {
-				t.Fatalf("%s on %v ran parallel; coherent machines must fall back", app, kind)
-			}
-			if par.Par.Fallback == "" {
-				t.Fatalf("%s on %v fell back without recording a reason", app, kind)
-			}
-			want, _ := json.Marshal(report.RunJSON(seq))
-			got, _ := json.Marshal(report.RunJSON(par))
-			if !bytes.Equal(got, want) {
-				t.Fatalf("fallback %s on %v diverged from sequential\nseq: %s\nfb:  %s",
-					app, kind, want, got)
 			}
 		}
 	}
@@ -152,63 +122,82 @@ func TestWorkersOutsideSpecIdentity(t *testing.T) {
 	}
 }
 
-// TestParallelAbortChaos interrupts parallel runs mid-window — by
-// wall-clock timeout and by cancellation at varying points — and checks
-// the failure-containment contract holds in parallel mode exactly as it
-// does sequentially: every simulated-process goroutine unwinds (no
-// leaks), the aborted run's pooled context is discarded rather than
-// returned, and a subsequent clean run on the same pool still produces
-// bit-identical results.  Run with -race, this is also the drain
-// transition's data-race gauntlet.
+// TestParallelAbortChaos interrupts runs mid-flight — by wall-clock
+// timeout and by cancellation at varying points — while a second stream
+// of the same runs shares the pool and the coroutine freelist on another
+// goroutine, and checks the failure-containment contract: every
+// simulated process unwinds and returns its carrier (no goroutine leaks),
+// each aborted run's pooled context is discarded rather than returned,
+// and a subsequent clean run on the same pool still produces
+// bit-identical results.
 func TestParallelAbortChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeated aborted runs")
 	}
-	base := runtime.NumGoroutine()
+	live := func() int { return runtime.NumGoroutine() - sim.IdleCarriers() }
+	base := live()
 	pool := NewRunPool(0)
 	spec := Spec{App: "cholesky", Scale: Tiny, Machine: LogP, Topology: "mesh", P: 8, Workers: 4}
 
-	// Timeout sweep: deadlines from "immediately" to "well into the run"
-	// catch the drain at different window depths.
-	timeouts := 0
-	for _, d := range []time.Duration{
-		50 * time.Microsecond, 200 * time.Microsecond, time.Millisecond,
-		5 * time.Millisecond, 20 * time.Millisecond,
-	} {
-		_, err := RunSpecControlled(spec, pool, RunControl{Timeout: d})
-		switch {
-		case err == nil: // deadline landed after completion
-		case errors.Is(err, ErrRunTimeout):
-			timeouts++
-		default:
-			t.Fatalf("timeout %v: unexpected error %v", d, err)
+	// abuse aborts a series of runs: deadlines from "immediately" to
+	// "well into the run", then cancellations raced from a goroutine.
+	abuse := func() (timeouts, cancels int, err error) {
+		for _, d := range []time.Duration{
+			50 * time.Microsecond, 200 * time.Microsecond, time.Millisecond,
+			5 * time.Millisecond, 20 * time.Millisecond,
+		} {
+			_, err := RunSpecControlled(spec, pool, RunControl{Timeout: d})
+			switch {
+			case err == nil: // deadline landed after completion
+			case errors.Is(err, ErrRunTimeout):
+				timeouts++
+			default:
+				return 0, 0, err
+			}
 		}
-	}
-	if timeouts == 0 {
-		t.Skip("no deadline fired before completion; host too slow to observe aborts")
-	}
-
-	// Cancellation mid-flight, raced from a second goroutine.
-	cancels := 0
-	for i := 0; i < 5; i++ {
-		cancel := make(chan struct{})
-		go func(delay time.Duration) {
-			time.Sleep(delay)
-			close(cancel)
-		}(time.Duration(i) * 500 * time.Microsecond)
-		_, err := RunSpecControlled(spec, pool, RunControl{Cancel: cancel})
-		switch {
-		case err == nil:
-		case errors.Is(err, ErrRunCanceled):
-			cancels++
-		default:
-			t.Fatalf("cancel %d: unexpected error %v", i, err)
+		for i := 0; i < 5; i++ {
+			cancel := make(chan struct{})
+			go func(delay time.Duration) {
+				time.Sleep(delay)
+				close(cancel)
+			}(time.Duration(i) * 500 * time.Microsecond)
+			_, err := RunSpecControlled(spec, pool, RunControl{Cancel: cancel})
+			switch {
+			case err == nil:
+			case errors.Is(err, ErrRunCanceled):
+				cancels++
+			default:
+				return 0, 0, err
+			}
 		}
+		return timeouts, cancels, nil
 	}
-
-	st := pool.Stats()
-	if want := timeouts + cancels; st.Discarded < want {
-		t.Fatalf("pool discarded %d contexts, want >= %d (one per aborted run)", st.Discarded, want)
+	type tally struct {
+		timeouts, cancels int
+		err               error
+	}
+	tallies := make([]tally, 2)
+	var wg sync.WaitGroup
+	for k := range tallies {
+		wg.Add(1)
+		go func(tl *tally) {
+			defer wg.Done()
+			tl.timeouts, tl.cancels, tl.err = abuse()
+		}(&tallies[k])
+	}
+	wg.Wait()
+	aborted := 0
+	for _, tl := range tallies {
+		if tl.err != nil {
+			t.Fatalf("unexpected error: %v", tl.err)
+		}
+		aborted += tl.timeouts + tl.cancels
+	}
+	if aborted == 0 {
+		t.Skip("no deadline or cancel fired before completion; host too slow to observe aborts")
+	}
+	if st := pool.Stats(); st.Discarded < aborted {
+		t.Fatalf("pool discarded %d contexts, want >= %d (one per aborted run)", st.Discarded, aborted)
 	}
 
 	// The pool must still serve clean, bit-identical runs after the abuse.
@@ -225,20 +214,20 @@ func TestParallelAbortChaos(t *testing.T) {
 	wantJSON, _ := json.Marshal(report.RunJSON(want))
 	gotJSON, _ := json.Marshal(report.RunJSON(got))
 	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Fatalf("post-chaos parallel run diverged\nseq: %s\npar: %s", wantJSON, gotJSON)
+		t.Fatalf("post-chaos run diverged\nfresh:  %s\npooled: %s", wantJSON, gotJSON)
 	}
 
-	// Every simulated-process goroutine must be gone.
+	// Every goroutine the runs started must have exited or be an idle
+	// carrier parked in the freelist.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		runtime.GC()
-		if runtime.NumGoroutine() <= base {
+		if live() <= base {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
-	t.Fatalf("goroutine leak after parallel aborts: %d live, want <= %d\n%s",
-		runtime.NumGoroutine(), base, buf[:n])
+	t.Fatalf("goroutine leak after aborts: %d live, want <= %d\n%s", live(), base, buf[:n])
 }

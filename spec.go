@@ -52,16 +52,11 @@ type Spec struct {
 	// triggers escalation: 0 escalates on the first flow admitted, 100
 	// never escalates.  Meaningful only with Adaptive.
 	EscalatePct int
-	// Workers requests conservative parallel host execution: the
-	// simulation runs its processes on up to Workers OS threads behind an
-	// ordered commit gate that keeps results bit-identical to the
-	// sequential kernel (0 or 1 means sequential).  Because results are
-	// identical by construction, Workers is an execution knob, not part of
-	// the run's identity: it is excluded from Key and Hash, and two specs
-	// differing only in Workers share one content address.  Machine kinds
-	// whose minimum cross-process latency is zero (Target, CLogP) fall
-	// back to the sequential kernel; the decision is recorded on
-	// Result.Par.
+	// Workers is accepted for compatibility and ignored: it once asked
+	// for a parallel host kernel, which was removed because it never ran
+	// faster than the sequential one.  It is still validated against
+	// MaxWorkers, and it stays out of Key and Hash, so two specs that
+	// differ only in Workers share one content address.
 	Workers int
 }
 
@@ -81,7 +76,7 @@ func (s Spec) Canonical() Spec {
 		s.EscalatePct = 0
 	}
 	if s.Workers < 0 {
-		// Negative worker counts mean the same thing as 0: sequential.
+		// Negative worker counts mean the same thing as 0.
 		s.Workers = 0
 	}
 	return s
@@ -133,9 +128,8 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// MaxWorkers bounds Spec.Workers (and the spasmd wire field): worker
-// counts beyond any plausible core count are rejected rather than
-// silently spawning an absurd goroutine release window.
+// MaxWorkers bounds Spec.Workers (and the spasmd wire field), which is
+// accepted and ignored; the bound keeps the wire contract unchanged.
 const MaxWorkers = 256
 
 func knownKind(k Kind) bool {
