@@ -20,9 +20,11 @@ import (
 	"spasm/internal/sim"
 )
 
-// parallelCombos enumerates the (kind, topology) pairs checked: the
-// latency-bound machines across the full topology set, the ideal
-// machine, and the coherent machines on the full network.
+// parallelCombos enumerates the (kind, topology) pairs checked by
+// TestParallelRunsBitIdentical: the latency-bound machines across the
+// full topology set, plus the ideal machine (which has no network at
+// all).  The coherent machines are covered by
+// TestParallelFallbackBitIdentical.
 func parallelCombos() []struct {
 	kind Kind
 	topo string
@@ -39,12 +41,10 @@ func parallelCombos() []struct {
 			}{kind, topo})
 		}
 	}
-	for _, kind := range []Kind{Ideal, Target, CLogP} {
-		combos = append(combos, struct {
-			kind Kind
-			topo string
-		}{kind, "full"})
-	}
+	combos = append(combos, struct {
+		kind Kind
+		topo string
+	}{Ideal, "full"})
 	return combos
 }
 
@@ -58,41 +58,65 @@ func TestParallelRunsBitIdentical(t *testing.T) {
 	pool := NewRunPool(0)
 	for _, app := range Apps() {
 		for _, c := range parallelCombos() {
-			spec := Spec{App: app, Scale: Tiny, Machine: c.kind, Topology: c.topo, P: 8}
-			seq, err := RunSpecControlled(spec, pool, RunControl{})
-			if err != nil {
-				t.Fatalf("alone %s on %v/%s: %v", app, c.kind, c.topo, err)
+			checkConcurrentIdentical(t, pool,
+				Spec{App: app, Scale: Tiny, Machine: c.kind, Topology: c.topo, P: 8})
+		}
+	}
+}
+
+// TestParallelFallbackBitIdentical applies the same check to the
+// coherence-modelling machines (Target and CLogP), whose minimum
+// cross-process latency is zero: Workers must change nothing there
+// either, alone or with another run sharing the coroutine pool.
+func TestParallelFallbackBitIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Tiny suite on the coherent machines, run twice concurrently")
+	}
+	pool := NewRunPool(0)
+	for _, app := range Apps() {
+		for _, kind := range []Kind{Target, CLogP} {
+			checkConcurrentIdentical(t, pool, Spec{App: app, Scale: Tiny, Machine: kind, P: 8})
+		}
+	}
+}
+
+// checkConcurrentIdentical runs spec alone, then twice at once on two
+// goroutines with Workers 2 and 4, and fails unless all three RunDocs are
+// byte-identical.
+func checkConcurrentIdentical(t *testing.T, pool *RunPool, spec Spec) {
+	t.Helper()
+	seq, err := RunSpecControlled(spec, pool, RunControl{})
+	if err != nil {
+		t.Fatalf("alone %s on %v/%s: %v", spec.App, spec.Machine, spec.Topology, err)
+	}
+	want, err := json.Marshal(report.RunJSON(seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]byte, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for k := range got {
+		pspec := spec
+		pspec.Workers = 2 * (k + 1)
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			res, err := RunSpecControlled(pspec, pool, RunControl{})
+			if err == nil {
+				got[k], err = json.Marshal(report.RunJSON(res))
 			}
-			want, err := json.Marshal(report.RunJSON(seq))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := make([][]byte, 2)
-			errs := make([]error, 2)
-			var wg sync.WaitGroup
-			for k := range got {
-				pspec := spec
-				pspec.Workers = 2 * (k + 1)
-				wg.Add(1)
-				go func(k int) {
-					defer wg.Done()
-					res, err := RunSpecControlled(pspec, pool, RunControl{})
-					if err == nil {
-						got[k], err = json.Marshal(report.RunJSON(res))
-					}
-					errs[k] = err
-				}(k)
-			}
-			wg.Wait()
-			for k := range got {
-				if errs[k] != nil {
-					t.Fatalf("concurrent %s on %v/%s: %v", app, c.kind, c.topo, errs[k])
-				}
-				if !bytes.Equal(got[k], want) {
-					t.Fatalf("concurrent run %d of %s on %v/%s diverged\nalone:      %s\nconcurrent: %s",
-						k, app, c.kind, c.topo, want, got[k])
-				}
-			}
+			errs[k] = err
+		}(k)
+	}
+	wg.Wait()
+	for k := range got {
+		if errs[k] != nil {
+			t.Fatalf("concurrent %s on %v/%s: %v", spec.App, spec.Machine, spec.Topology, errs[k])
+		}
+		if !bytes.Equal(got[k], want) {
+			t.Fatalf("concurrent run %d of %s on %v/%s diverged\nalone:      %s\nconcurrent: %s",
+				k, spec.App, spec.Machine, spec.Topology, want, got[k])
 		}
 	}
 }
