@@ -30,8 +30,8 @@ func (t *trace) add(p *Proc, format string, args ...any) {
 // runConcurrent runs build's program once alone as the reference, then on
 // engines engines at once, one goroutine each, and requires every
 // concurrent run to reproduce the reference.  It returns the reference
-// run's error.
-func runConcurrent(t *testing.T, engines int, build func(e *Engine, tr *trace)) error {
+// run's trace and error.
+func runConcurrent(t *testing.T, engines int, build func(e *Engine, tr *trace)) (*trace, error) {
 	t.Helper()
 	base := liveGoroutines()
 
@@ -81,13 +81,13 @@ func runConcurrent(t *testing.T, engines int, build func(e *Engine, tr *trace)) 
 		}
 	}
 	settleGoroutines(t, base)
-	return refErr
+	return refTr, refErr
 }
 
 // TestParallelPingPong alternates two processes through a lock with
 // asymmetric hold times, on two engines at once.
 func TestParallelPingPong(t *testing.T) {
-	err := runConcurrent(t, 2, func(e *Engine, tr *trace) {
+	tr, err := runConcurrent(t, 2, func(e *Engine, tr *trace) {
 		var l Lock
 		for i := 0; i < 2; i++ {
 			hold := Time(3 + 2*i)
@@ -104,6 +104,9 @@ func TestParallelPingPong(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(tr.log) != 40 {
+		t.Fatalf("trace length %d, want 40", len(tr.log))
 	}
 }
 
@@ -169,7 +172,7 @@ func TestParallelRandomized(t *testing.T) {
 		}
 		for _, engines := range []int{2, 4, 8} {
 			t.Run(fmt.Sprintf("seed%d_w%d", seed, engines), func(t *testing.T) {
-				if err := runConcurrent(t, engines, build); err != nil {
+				if _, err := runConcurrent(t, engines, build); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -180,7 +183,7 @@ func TestParallelRandomized(t *testing.T) {
 // TestParallelDeadlock: a program that deadlocks reports the same
 // DeadlockError on every concurrent engine and returns every carrier.
 func TestParallelDeadlock(t *testing.T) {
-	err := runConcurrent(t, 4, func(e *Engine, tr *trace) {
+	_, err := runConcurrent(t, 4, func(e *Engine, tr *trace) {
 		var q Queue
 		for i := 0; i < 4; i++ {
 			e.Spawn(fmt.Sprintf("stuck%d", i), func(p *Proc) {
@@ -212,7 +215,7 @@ func TestParallelPanic(t *testing.T) {
 	}
 	runConcurrent(t, 4, build) // warm the freelist to at least 16 carriers
 	idle := IdleCarriers()
-	if err := runConcurrent(t, 4, build); err == nil {
+	if _, err := runConcurrent(t, 4, build); err == nil {
 		t.Fatal("panicking program succeeded")
 	}
 	if got := IdleCarriers(); got != idle {
@@ -296,7 +299,7 @@ func TestParallelReset(t *testing.T) {
 // TestParallelMidRunSpawn: processes spawned from inside a run take
 // carriers mid-run, on several engines at once.
 func TestParallelMidRunSpawn(t *testing.T) {
-	err := runConcurrent(t, 2, func(e *Engine, tr *trace) {
+	tr, err := runConcurrent(t, 2, func(e *Engine, tr *trace) {
 		for i := 0; i < 2; i++ {
 			e.Spawn(fmt.Sprintf("root%d", i), func(p *Proc) {
 				p.Hold(Time(5 * (p.ID + 1)))
@@ -311,6 +314,9 @@ func TestParallelMidRunSpawn(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(tr.log) != 4 {
+		t.Fatalf("trace length %d, want 4 (two spawns, two children)", len(tr.log))
 	}
 }
 
